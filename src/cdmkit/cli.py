@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .bank import load_item_bank
-from .dina import binarize_scores  # noqa: F401  (re-exported convenience)
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -409,13 +408,27 @@ SWEEP_DEFAULTS: dict = {
 }
 
 
+def _parse_grid(text: object, flag: str, kind: type) -> list:
+    """Comma-separated grid values; a token ``kind`` cannot parse is a usage error."""
+    values = []
+    for token in str(text).split(","):
+        if token:
+            try:
+                values.append(kind(token))
+            except ValueError:
+                raise ValidationError(
+                    f"{flag}: {token!r} is not a valid {kind.__name__}"
+                ) from None
+    return values
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     eff = _merge_config(args, SWEEP_DEFAULTS)
-    matrix, qmat, _ = _load_fit_inputs(eff)
-    skills_grid = [int(s) for s in str(eff["skills_grid"]).split(",") if s]
-    q_weight_grid = [float(s) for s in str(eff["q_weight_grid"]).split(",") if s]
+    skills_grid = _parse_grid(eff["skills_grid"], "--skills-grid", int)
+    q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", float)
     if not skills_grid or not q_weight_grid:
         raise ValidationError("empty sweep grid")
+    matrix, qmat, _ = _load_fit_inputs(eff)
     out = _out_dir(eff)
     lines = ["n_skills,q_weight,objective,iterations,converged,accuracy,auc,rmse"]
     for n_skills in skills_grid:

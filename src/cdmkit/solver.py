@@ -13,14 +13,31 @@ The objective is
       + ridge_item·||item_skill||² + ridge_model·||skill_model||²
       + ridge_concept·||skill_concept||²
 
-minimized by multiplicative updates, which keep every factor non-negative by
-construction and never increase the objective.  Both properties are checked
-at runtime on every iteration.
+minimized by multiplicative updates (Lee & Seung 2001), which keep every
+factor non-negative by construction and never increase the objective.  Both
+properties are checked at runtime on every iteration, as is finiteness.
+
+Each iteration updates E = item_skill, then U = skill_model, then
+V = skill_concept, and evaluates the objective for the stop rule.  The
+iteration kernel avoids repeated work:
+
+- ``weights² ∘ scores`` is formed once per fit;
+- ``E @ U`` is formed once after each change of E or U, and the product after
+  the U update serves both the objective and the next E update;
+- the tag term never forms an items×concepts residual.  The E update uses
+  ``E (V Vᵀ)`` and the V update ``(EᵀE) V``, and the objective uses the Gram
+  identity ``‖Q − EV‖² = ‖Q‖² − 2⟨EᵀQ, V⟩ + ⟨EᵀE, VVᵀ⟩`` with the ``EᵀQ``
+  and ``EᵀE`` of the V update.
+
+:func:`objective` evaluates the same loss kernel from freshly formed
+products.  :func:`objective_gradients` keeps the direct residual form, so the
+gradient check compares the kernel against an independent formula.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -55,16 +72,15 @@ class McfConfig:
     def __post_init__(self) -> None:
         if self.n_skills < 1:
             raise ValidationError("n_skills must be >= 1")
-        if self.q_weight < 0:
-            raise ValidationError("q_weight must be >= 0")
-        for name in ("ridge_item", "ridge_model", "ridge_concept"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        # The comparisons are written so that NaN, which fails them all, is rejected.
+        for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be >= 0")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValidationError("tol must be > 0")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
         if self.init not in ("gamma_prior", "uniform"):
             raise ValidationError(f"unknown init mode {self.init!r}")
@@ -205,6 +221,36 @@ def _check_problem(
         )
 
 
+def _loss(
+    eu: NDArray[np.float64],
+    ete: NDArray[np.float64],
+    etq: NDArray[np.float64],
+    vvt: NDArray[np.float64],
+    u: NDArray[np.float64],
+    v: NDArray[np.float64],
+    scores: NDArray[np.float64],
+    weights: NDArray[np.float64],
+    q_sq: float,
+    config: McfConfig,
+) -> float:
+    """The objective from the products a multiplicative step already holds.
+
+    ``eu = E@U``, ``ete = EᵀE``, ``etq = EᵀQ``, ``vvt = VVᵀ`` and
+    ``q_sq = ‖Q‖²``.  The weighted term is the direct residual; the tag term
+    is ``‖Q‖² − 2⟨EᵀQ,V⟩ + ⟨EᵀE,VVᵀ⟩`` and the item and concept ridges are
+    the traces of the two Gram matrices.
+    """
+    r = scores - eu
+    r *= weights
+    return float(
+        np.vdot(r, r)
+        + config.q_weight * (q_sq - 2.0 * np.vdot(etq, v) + np.vdot(ete, vvt))
+        + config.ridge_item * np.trace(ete)
+        + config.ridge_model * np.vdot(u, u)
+        + config.ridge_concept * np.trace(vvt)
+    )
+
+
 def objective(
     factors: FactorSet,
     scores: NDArray[np.float64],
@@ -212,17 +258,12 @@ def objective(
     qmat: NDArray[np.float64],
     config: McfConfig,
 ) -> float:
-    """The fitted loss, computed in double precision."""
+    """The fitted loss, computed in double precision by the kernel ``fit`` uses."""
     _check_problem(scores, weights, qmat)
     e, u, v = factors.item_skill, factors.skill_model, factors.skill_concept
-    r1 = weights * (scores - e @ u)
-    r2 = qmat - e @ v
-    return float(
-        (r1 * r1).sum()
-        + config.q_weight * (r2 * r2).sum()
-        + config.ridge_item * (e * e).sum()
-        + config.ridge_model * (u * u).sum()
-        + config.ridge_concept * (v * v).sum()
+    return _loss(
+        e @ u, e.T @ e, e.T @ qmat, v @ v.T, u, v,
+        scores, weights, float(np.vdot(qmat, qmat)), config,
     )
 
 
@@ -288,10 +329,10 @@ def fit(
     weights = np.asarray(weights, dtype=np.float64)
     qmat = np.asarray(qmat, dtype=np.float64)
     _check_problem(scores, weights, qmat)
-    if scores.size and (scores.min() < 0 or scores.max() > 1):
-        raise ValidationError("scores outside [0, 1]")
-    if weights.size and (weights.min() < 0 or weights.max() > 1):
-        raise ValidationError("weights outside [0, 1]")
+    for name, m in (("scores", scores), ("weights", weights)):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if m.size and not (m.min() >= 0 and m.max() <= 1):
+            raise ValidationError(f"{name} must be finite and within [0, 1]")
     if not np.all((qmat == 0) | (qmat == 1)):
         raise ValidationError("qmat must be binary")
     if not np.any(weights > 0):
@@ -305,34 +346,31 @@ def fit(
 
     e, u, v = _init_factors(n_items, n_models, n_concepts, config)
     w2 = weights * weights
+    w2x = w2 * scores
+    q_sq = float(np.vdot(qmat, qmat))
 
-    def loss(ef: NDArray, uf: NDArray, vf: NDArray) -> float:
-        r1 = weights * (scores - ef @ uf)
-        r2 = qmat - ef @ vf
-        return float(
-            (r1 * r1).sum()
-            + beta * (r2 * r2).sum()
-            + le * (ef * ef).sum()
-            + lu * (uf * uf).sum()
-            + lv * (vf * vf).sum()
-        )
-
-    trace = [loss(e, u, v)]
+    # At the top of every iteration eu = E@U and vvt = VVᵀ for the current factors.
+    eu = e @ u
+    vvt = v @ v.T
+    trace = [_loss(eu, e.T @ e, e.T @ qmat, vvt, u, v, scores, weights, q_sq, config)]
     converged = False
     iterations = 0
     for it in range(config.max_iters):
-        e = e * (((w2 * scores) @ u.T + beta * (qmat @ v.T)) /
-                 ((w2 * (e @ u)) @ u.T + beta * ((e @ v) @ v.T) + le * e + eps))
-        u = u * ((e.T @ (w2 * scores)) /
-                 (e.T @ (w2 * (e @ u)) + lu * u + eps))
-        v = v * ((beta * (e.T @ qmat)) /
-                 (beta * (e.T @ (e @ v)) + lv * v + eps))
+        e = e * ((w2x @ u.T + beta * (qmat @ v.T)) /
+                 ((w2 * eu) @ u.T + beta * (e @ vvt) + le * e + eps))
+        eu = e @ u
+        u = u * ((e.T @ w2x) / (e.T @ (w2 * eu) + lu * u + eps))
+        ete = e.T @ e
+        etq = e.T @ qmat
+        v = v * ((beta * etq) / (beta * (ete @ v) + lv * v + eps))
         for name, m in (("item", e), ("model", u), ("concept", v)):
             if not np.isfinite(m).all():
                 raise NumericalError(f"non-finite {name} factor at iteration {it}")
             if m.min() < 0:
                 raise NumericalError(f"negative {name} factor at iteration {it}")
-        val = loss(e, u, v)
+        eu = e @ u
+        vvt = v @ v.T
+        val = _loss(eu, ete, etq, vvt, u, v, scores, weights, q_sq, config)
         iterations = it + 1
         trace.append(val)
         if trace[-2] - val < config.tol * abs(trace[-2]):

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdmkit
 from cdmkit.cli import main
 from cdmkit.responses import load_matrix_csv, load_response_matrix, save_matrix_csv
 
@@ -129,9 +132,12 @@ def test_version_flag(capsys):
 
 
 def test_module_entry_point():
+    # The child interpreter finds cdmkit where this one did, installed or not.
+    src = str(Path(cdmkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cdmkit", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("cdmkit ")
@@ -292,6 +298,16 @@ def test_fit_item_id_mismatch(tmp_path, monkeypatch, capsys):
     assert "item ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["scores", "weights"])
+def test_fit_non_finite_input_is_usage_error(tmp_path, monkeypatch, capsys, name):
+    _write_fit_inputs(tmp_path)
+    values, items, models = load_matrix_csv(tmp_path / f"{name}.csv")
+    values[2, 1] = np.nan
+    save_matrix_csv(values, items, models, tmp_path / f"{name}.csv", corner="item_id")
+    assert _run_fit(tmp_path, monkeypatch) == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
 def test_fit_missing_scores_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["fit", "--scores", "no.csv", "--qmatrix", "also_no.csv"]) == 2
@@ -434,3 +450,18 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):
         "--skills-grid", ",", "--out", "sw",
     ]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, grid, token",
+    [("--skills-grid", "1,x", "'x'"), ("--q-weight-grid", "1.0,heavy", "'heavy'")],
+)
+def test_sweep_bad_grid_token_is_usage_error(tmp_path, monkeypatch, capsys, flag, grid, token):
+    _write_fit_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv",
+        flag, grid, "--out", "sw",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and token in err

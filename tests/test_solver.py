@@ -17,6 +17,7 @@ from cdmkit import (
     save_factors,
     save_mastery,
 )
+from cdmkit.solver import _init_factors
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -58,6 +59,53 @@ def _objective_by_loops(factors, scores, weights, qmat, config):
         for c in range(k):
             total += config.ridge_concept * v[s, c] ** 2
     return total
+
+
+def _objective_direct(factors, scores, weights, qmat, config):
+    """The loss from explicit residual matrices, without Gram identities."""
+    e, u, v = factors.item_skill, factors.skill_model, factors.skill_concept
+    r1 = weights * (scores - e @ u)
+    r2 = qmat - e @ v
+    return float(
+        (r1 * r1).sum()
+        + config.q_weight * (r2 * r2).sum()
+        + config.ridge_item * (e * e).sum()
+        + config.ridge_model * (u * u).sum()
+        + config.ridge_concept * (v * v).sum()
+    )
+
+
+def _fit_reference(scores, weights, qmat, config):
+    """Plain multiplicative updates with a direct-residual loss on every step.
+
+    The textbook form of the rules ``fit`` implements: every product is formed
+    where it is used and nothing is shared between the updates and the loss.
+    Returns (trace, iterations, (E, U, V)).
+    """
+    beta = config.q_weight
+    le, lu, lv = config.ridge_item, config.ridge_model, config.ridge_concept
+    eps = config.epsilon
+    e, u, v = _init_factors(*scores.shape, qmat.shape[1], config)
+    w2 = weights * weights
+
+    def loss():
+        return _objective_direct(FactorSet(e, u, v), scores, weights, qmat, config)
+
+    trace = [loss()]
+    iterations = 0
+    for it in range(config.max_iters):
+        e = e * (((w2 * scores) @ u.T + beta * (qmat @ v.T)) /
+                 ((w2 * (e @ u)) @ u.T + beta * ((e @ v) @ v.T) + le * e + eps))
+        u = u * ((e.T @ (w2 * scores)) /
+                 (e.T @ (w2 * (e @ u)) + lu * u + eps))
+        v = v * ((beta * (e.T @ qmat)) /
+                 (beta * (e.T @ (e @ v)) + lv * v + eps))
+        val = loss()
+        iterations = it + 1
+        trace.append(val)
+        if trace[-2] - val < config.tol * abs(trace[-2]):
+            break
+    return trace, iterations, (e, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +261,43 @@ def test_fit_zero_iters_returns_initial_factors():
     assert not res.converged
 
 
+@pytest.mark.parametrize("all_ones_weights", [False, True])
+@pytest.mark.parametrize("q_weight", [0.0, 1.0, 5.0])
+@pytest.mark.parametrize("ridge", [0.0, 0.1])
+def test_fit_matches_reference_updates(all_ones_weights, q_weight, ridge):
+    # The shared products and Gram forms in fit change only rounding: the same
+    # steps and stop as the textbook updates, to within 1e-10.
+    seed = int(q_weight * 10 + ridge * 100 + all_ones_weights)
+    rng = np.random.default_rng(seed)
+    scores = rng.random((40, 12))
+    weights = np.ones_like(scores) if all_ones_weights else rng.random((40, 12))
+    qmat = (rng.random((40, 15)) < 0.4).astype(float)
+    cfg = McfConfig(
+        n_skills=4, q_weight=q_weight, ridge_item=ridge, ridge_model=ridge,
+        ridge_concept=ridge, max_iters=400, tol=1e-5, seed=seed,
+    )
+    res = fit(scores, weights, qmat, cfg)
+    trace, iterations, factors = _fit_reference(scores, weights, qmat, cfg)
+    assert res.iterations_run == iterations
+    np.testing.assert_allclose(res.objective_trace, trace, rtol=1e-10, atol=0)
+    got = (res.factors.item_skill, res.factors.skill_model, res.factors.skill_concept)
+    for a, b in zip(got, factors):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+def test_fit_objective_matches_direct_residuals_on_dense_problem():
+    # The Gram form of the tag term cancels ||Q||² against the cross term; on a
+    # dense, large Q that rounding is still far below the stop rule's tolerance.
+    rng = np.random.default_rng(12)
+    scores = rng.random((400, 40))
+    weights = rng.random((400, 40))
+    qmat = (rng.random((400, 150)) < 0.5).astype(float)
+    cfg = McfConfig(n_skills=8, max_iters=60, seed=4)
+    res = fit(scores, weights, qmat, cfg)
+    direct = _objective_direct(res.factors, scores, weights, qmat, cfg)
+    assert res.objective == pytest.approx(direct, rel=1e-12)
+
+
 def test_fit_rejects_all_zero_weights():
     with pytest.raises(ValidationError, match="nothing observed"):
         fit(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 1)), McfConfig(n_skills=1))
@@ -224,6 +309,11 @@ def test_fit_rejects_out_of_range_inputs():
         fit(np.array([[1.2]]), np.ones((1, 1)), np.ones((1, 1)), cfg)
     with pytest.raises(ValidationError, match="binary"):
         fit(np.ones((1, 1)), np.ones((1, 1)), np.array([[0.3]]), cfg)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="scores"):
+            fit(np.array([[0.5, bad]]), np.ones((1, 2)), np.ones((1, 1)), cfg)
+        with pytest.raises(ValidationError, match="weights"):
+            fit(np.full((1, 2), 0.5), np.array([[1.0, bad]]), np.ones((1, 1)), cfg)
 
 
 def test_uniform_init_mode():
@@ -360,6 +450,11 @@ def test_mastery_unknown_mode_rejected():
         {"init": "magic"},
         {"init_gamma_item": (0.0, 1.0)},
         {"max_iters": -1},
+        {"q_weight": float("nan")},
+        {"q_weight": float("inf")},
+        {"ridge_item": float("nan")},
+        {"tol": float("nan")},
+        {"epsilon": float("nan")},
     ],
 )
 def test_config_validation(kwargs):
