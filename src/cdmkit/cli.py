@@ -351,7 +351,15 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
     import csv
 
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = []
+        for row in reader:
+            if rows and len(row) > len(rows[0]):
+                raise FormatError(
+                    f"{path}:{reader.line_num}: {len(row)} cells but the header "
+                    f"has {len(rows[0])}"
+                )
+            rows.append(row)
     if len(rows) < 2:
         raise FormatError(f"{path}: need a header row and at least one unit")
     table: list[list[object]] = []

@@ -8,6 +8,7 @@ equivalence a checkable property anywhere.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
@@ -144,6 +145,8 @@ def concept_counts(mastery: MasteryMatrix, threshold: float = 0.9) -> ConceptCou
     Rows are sorted best-first: by count descending, then mean mastery
     descending, then model id.
     """
+    if not math.isfinite(threshold):
+        raise ValidationError(f"threshold must be finite, got {threshold!r}")
     rows = []
     for j, model_id in enumerate(mastery.model_ids):
         row = mastery.prob[j]

@@ -107,10 +107,11 @@ class ResponseMatrix:
             raise DimensionError(
                 f"matrix {s.shape} vs ids ({len(self.item_ids)}, {len(self.model_ids)})"
             )
-        if s.size and (s.min() < 0 or s.max() > 1):
-            raise ValidationError("scores outside [0, 1]")
-        if w.size and (w.min() < 0 or w.max() > 1):
-            raise ValidationError("weights outside [0, 1]")
+        for name, m in (("scores", s), ("weights", w)):
+            if not np.isfinite(m).all():
+                raise ValidationError(f"{name} must be finite")
+            if m.size and (m.min() < 0 or m.max() > 1):
+                raise ValidationError(f"{name} outside [0, 1]")
         if np.any(s[w == 0] != 0):
             raise ValidationError("unobserved cells (weight 0) must carry score 0")
 
@@ -203,20 +204,83 @@ def save_matrix_csv(
             writer.writerow([rid, *[repr(float(v)) for v in row]])
 
 
+def _first_duplicate(ids: tuple[str, ...]) -> str | None:
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
 def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, ...], tuple[str, ...]]:
+    """Read a labelled matrix as written by :func:`save_matrix_csv`.
+
+    Returns ``(values, row_ids, col_ids)`` with ``values`` a C-contiguous
+    float64 array.  The contract: the matrix is rectangular (every row holds
+    one id plus one value per header column), row ids and column ids are each
+    unique, and every value is finite.  A violation raises ``FormatError``
+    naming the file and the offending data row (counted from 1 after the
+    header) or id.  A file holding only a header loads as an empty array.
+
+    The header goes through ``csv.reader``; numpy's C reader parses the rest
+    of the file straight from the open file, collecting the row ids through a
+    converter on column 0.  Ids may hold any text ``csv`` can quote,
+    including ``#`` and line breaks.
+    """
     path = Path(path)
+    ids: list[str] = []
+
+    def row_id(text: str) -> float:
+        ids.append(text)
+        return 0.0
+
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: empty matrix file")
-    col_ids = tuple(rows[0][1:])
-    row_ids = tuple(r[0] for r in rows[1:])
-    try:
-        values = np.array([[float(v) for v in r[1:]] for r in rows[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric cell ({exc})") from exc
-    if values.size and values.shape[1] != len(col_ids):
-        raise FormatError(f"{path}: ragged rows")
+        # Lines come through readline, not iteration, so tell() stays usable.
+        header = next(csv.reader(iter(fh.readline, "")), None)
+        if header is None:
+            raise FormatError(f"{path}: empty matrix file")
+        col_ids = tuple(header[1:])
+        dup = _first_duplicate(col_ids)
+        if dup is not None:
+            raise FormatError(f"{path}: duplicate column id {dup!r}")
+        body_start = fh.tell()
+        if not fh.read(1):
+            return np.array([], dtype=np.float64), (), col_ids
+        fh.seek(body_start)
+        try:
+            # No usecols: loadtxt would silently drop cells past the header.
+            # Parsing every column makes it raise on any change of row width.
+            table = np.loadtxt(
+                fh, dtype=np.float64, delimiter=",", quotechar='"',
+                comments=None, converters={0: row_id}, ndmin=2,
+            )
+        except ValueError as exc:
+            reason = str(exc).partition(" at row ")[0]
+            if reason.startswith("could not convert"):
+                # A bad cell: its row's id was converted before the cell.
+                where = f"data row {len(ids)} (id {ids[-1]!r})"
+            else:
+                # A change of width is found before the row's id is converted.
+                where = f"data row {len(ids) + 1}"
+            raise FormatError(f"{path}: {where}: {reason}") from exc
+    if table.shape[1] - 1 != len(col_ids):
+        raise FormatError(
+            f"{path}: rows hold {table.shape[1] - 1} values but the header "
+            f"names {len(col_ids)} columns"
+        )
+    row_ids = tuple(ids)
+    dup = _first_duplicate(row_ids)
+    if dup is not None:
+        raise FormatError(f"{path}: duplicate row id {dup!r}")
+    values = np.ascontiguousarray(table[:, 1:])
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise FormatError(
+            f"{path}: row {row_ids[i]!r}, column {col_ids[j]!r} holds "
+            f"{float(values[i, j])!r}; matrix values must be finite"
+        )
     return values, row_ids, col_ids
 
 

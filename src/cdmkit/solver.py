@@ -190,6 +190,9 @@ class MasteryMatrix:
             raise DimensionError("raw/prob shape mismatch")
         if self.raw.shape != (len(self.model_ids), len(self.concept_ids)):
             raise DimensionError("mastery shape does not match id lists")
+        for name, m in (("raw", self.raw), ("prob", self.prob)):
+            if not np.isfinite(m).all():
+                raise ValidationError(f"mastery {name} entries must be finite")
         if self.prob.size and (self.prob.min() < 0 or self.prob.max() > 1):
             raise ValidationError("prob entries outside [0, 1]")
 
@@ -545,21 +548,36 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
 
 
 def load_mastery(path: str | Path) -> MasteryMatrix:
-    """Read a mastery JSON bundle (as written by :func:`save_mastery`)."""
+    """Read a mastery JSON bundle (as written by :func:`save_mastery`).
+
+    A missing or malformed field, or a bundle ``MasteryMatrix`` rejects (for
+    example a non-finite entry), raises ``ValidationError`` naming the file.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: expected a JSON object")
     norm = payload.get("normalization")
     if norm not in NORMALIZATIONS:
         raise ValidationError(f"{path}: unknown normalization tag {norm!r}")
-    raw = np.array([[float(x) for x in row] for row in payload["raw"]], dtype=np.float64)
-    prob = np.array([[float(x) for x in row] for row in payload["prob"]], dtype=np.float64)
-    return MasteryMatrix(
-        raw=raw,
-        prob=prob,
-        normalization=norm,
-        model_ids=tuple(payload["model_ids"]),
-        concept_ids=tuple(payload["concept_ids"]),
-    )
+
+    def matrix(rows) -> NDArray[np.float64]:
+        return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+
+    fields = {}
+    for name, convert in (
+        ("raw", matrix), ("prob", matrix), ("model_ids", tuple), ("concept_ids", tuple)
+    ):
+        if name not in payload:
+            raise ValidationError(f"{path}: missing field {name!r}")
+        try:
+            fields[name] = convert(payload[name])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{path}: malformed field {name!r} ({exc})") from exc
+    try:
+        return MasteryMatrix(normalization=norm, **fields)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,11 @@ import numpy as np
 import pytest
 
 import cdmkit
-from cdmkit.cli import main
+from cdmkit.cli import _load_annotations, main
+from cdmkit.errors import FormatError, ValidationError
+from cdmkit.metrics import concept_counts
 from cdmkit.responses import load_matrix_csv, load_response_matrix, save_matrix_csv
+from cdmkit.solver import MasteryMatrix, load_mastery, save_mastery
 
 SIM_ARGS = [
     "simulate", "--items", "12", "--models", "5", "--concepts", "6",
@@ -305,7 +309,8 @@ def test_fit_non_finite_input_is_usage_error(tmp_path, monkeypatch, capsys, name
     values[2, 1] = np.nan
     save_matrix_csv(values, items, models, tmp_path / f"{name}.csv", corner="item_id")
     assert _run_fit(tmp_path, monkeypatch) == 2
-    assert f"{name} must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{name}.csv" in err and "must be finite" in err
 
 
 def test_fit_missing_scores_file(tmp_path, monkeypatch, capsys):
@@ -465,3 +470,123 @@ def test_sweep_bad_grid_token_is_usage_error(tmp_path, monkeypatch, capsys, flag
     ]) == 2
     err = capsys.readouterr().err
     assert flag in err and token in err
+
+
+# ---------------------------------------------------------------------------
+# malformed input: file -> exception -> exit code -> message
+# ---------------------------------------------------------------------------
+
+FIT_ARGV = [
+    "fit", "--scores", "scores.csv", "--weights", "weights.csv",
+    "--qmatrix", "qmatrix.csv", "--skills", "2", "--starts", "1",
+    "--max-iters", "5", "--out", "f",
+]
+DIAGNOSE_ARGV = ["diagnose", "--mastery", "mastery.json", "--out", "d"]
+
+
+def _edit_lines(edit, *names):
+    """Case setup: rewrite each named CSV through ``edit(lines) -> lines``."""
+    def setup(root):
+        for name in names:
+            path = root / name
+            lines = path.read_text(encoding="utf-8").splitlines()
+            path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    return setup
+
+
+def _set_cell(row, col, text):
+    def edit(lines):
+        cells = lines[row].split(",")
+        cells[col] = text
+        lines[row] = ",".join(cells)
+        return lines
+    return edit
+
+
+def _edit_mastery(edit):
+    def setup(root):
+        path = root / "mastery.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return setup
+
+
+def _write(name, text):
+    def setup(root):
+        (root / name).write_text(text, encoding="utf-8")
+    return setup
+
+
+def _load_scores(root):
+    load_matrix_csv(root / "scores.csv")
+
+
+def _concept_counts_from_config(root):
+    config = json.loads((root / "diagnose.json").read_text(encoding="utf-8"))
+    concept_counts(load_mastery(root / "mastery.json"), threshold=config["threshold"])
+
+
+# (case id, setup, library call, exception, argv, exit code, named file, message)
+MALFORMED = [
+    ("nan", _edit_lines(_set_cell(3, 2, "nan"), "scores.csv"), _load_scores,
+     FormatError, FIT_ARGV, 2, "scores.csv", "row 'q2', column 'm1' holds nan"),
+    ("inf", _edit_lines(_set_cell(1, 1, "-inf"), "weights.csv"),
+     lambda root: load_matrix_csv(root / "weights.csv"),
+     FormatError, FIT_ARGV, 2, "weights.csv", "holds -inf; matrix values must be finite"),
+    ("non-numeric", _edit_lines(_set_cell(2, 1, "yes"), "qmatrix.csv"),
+     lambda root: load_matrix_csv(root / "qmatrix.csv"),
+     FormatError, FIT_ARGV, 2, "qmatrix.csv", "data row 2 (id 'q1'): could not convert string 'yes'"),
+    ("empty cell", _edit_lines(_set_cell(4, 6, ""), "scores.csv"), _load_scores,
+     FormatError, FIT_ARGV, 2, "scores.csv", "data row 4 (id 'q3'): could not convert string ''"),
+    ("short row", _edit_lines(lambda ls: ls[:3] + [ls[3].rsplit(",", 1)[0]] + ls[4:], "scores.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
+     "data row 3: the number of columns changed from 7 to 6"),
+    ("one long row", _edit_lines(lambda ls: ls[:5] + [ls[5] + ",1.0"] + ls[6:], "scores.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
+     "data row 5: the number of columns changed from 7 to 8"),
+    ("all rows long", _edit_lines(lambda ls: ls[:1] + [line + ",1.0" for line in ls[1:]], "scores.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
+     "rows hold 7 values but the header names 6 columns"),
+    ("duplicate row id", _edit_lines(_set_cell(2, 0, "q0"), "scores.csv", "weights.csv", "qmatrix.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv", "duplicate row id 'q0'"),
+    ("duplicate column id", _edit_lines(_set_cell(0, 4, "m0"), "scores.csv", "weights.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv", "duplicate column id 'm0'"),
+    ("empty file", _write("scores.csv", ""), _load_scores,
+     FormatError, FIT_ARGV, 2, "scores.csv", "empty matrix file"),
+    ("mastery missing a field", _edit_mastery(lambda p: p.pop("model_ids")),
+     lambda root: load_mastery(root / "mastery.json"),
+     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "missing field 'model_ids'"),
+    ("mastery nan raw", _edit_mastery(lambda p: p["raw"][1].__setitem__(2, float("nan"))),
+     lambda root: load_mastery(root / "mastery.json"),
+     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery raw entries must be finite"),
+    ("nan threshold", _write("diagnose.json", json.dumps({"threshold": float("nan")})),
+     _concept_counts_from_config, ValidationError,
+     DIAGNOSE_ARGV + ["--config", "diagnose.json"], 2, "", "threshold must be finite"),
+    ("wide annotation row", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu1,a,b,c\nu2,b,b\n"),
+     lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
+     FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
+     "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, call, error, argv, code, named, message",
+    [pytest.param(*case[1:], id=case[0]) for case in MALFORMED],
+)
+def test_malformed_input_table(
+    tmp_path, monkeypatch, capsys, setup, call, error, argv, code, named, message
+):
+    _write_fit_inputs(tmp_path)
+    prob = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    save_mastery(
+        MasteryMatrix(prob, prob, "clip", ("m0", "m1", "m2"), ("c0", "c1", "c2", "c3")),
+        tmp_path,
+    )
+    setup(tmp_path)
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert message in err and named in err

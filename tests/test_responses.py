@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cdmkit import (
     Attempt,
@@ -13,6 +15,7 @@ from cdmkit import (
     save_response_log,
     save_response_matrix,
 )
+from cdmkit.responses import load_matrix_csv, save_matrix_csv
 
 
 def _log(model, *entries):
@@ -148,5 +151,43 @@ def test_matrix_validation():
         ResponseMatrix(np.zeros((2, 2)), np.zeros((2, 3)), ("a", "b"), ("x", "y"))
     with pytest.raises(ValidationError, match="outside"):
         ResponseMatrix(np.array([[1.5]]), np.array([[1.0]]), ("a",), ("x",))
+    with pytest.raises(ValidationError, match="scores must be finite"):
+        ResponseMatrix(np.array([[np.nan]]), np.array([[1.0]]), ("a",), ("x",))
+    with pytest.raises(ValidationError, match="weights must be finite"):
+        ResponseMatrix(np.array([[0.5]]), np.array([[np.nan]]), ("a",), ("x",))
     with pytest.raises(ValidationError, match="weight 0"):
         ResponseMatrix(np.array([[0.5]]), np.array([[0.0]]), ("a",), ("x",))
+
+
+# Ids that must survive the CSV round trip: the delimiter, the quote, the
+# comment character numpy would strip by default, edge spaces, non-ASCII text,
+# the empty id, and embedded line breaks.
+TRICKY_IDS = ["a,b", 'q"x', "#c", " lead", "trail ", "é中", "", "x\ny", "x\ry", "x\r\ny"]
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-5]
+
+_ids = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x00"), max_size=6)
+_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _labelled_matrices(draw):
+    row_ids = draw(st.lists(_ids, min_size=1, max_size=6, unique=True))
+    col_ids = draw(st.lists(_ids, max_size=5, unique=True))
+    values = [[draw(_values) for _ in col_ids] for _ in row_ids]
+    return np.array(values, dtype=np.float64).reshape(len(row_ids), len(col_ids)), row_ids, col_ids
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((np.array([EDGE_VALUES * 3], dtype=np.float64).reshape(1, 12), ["r"], TRICKY_IDS + ["1", "2"]))
+@example((np.array([EDGE_VALUES[:1]] * 10, dtype=np.float64), TRICKY_IDS, ["c"]))
+@given(_labelled_matrices())
+def test_matrix_csv_round_trip_property(tmp_path, case):
+    values, row_ids, col_ids = case
+    path = tmp_path / "m.csv"
+    save_matrix_csv(values, tuple(row_ids), tuple(col_ids), path)
+    back, back_rows, back_cols = load_matrix_csv(path)
+    assert back_rows == tuple(row_ids) and back_cols == tuple(col_ids)
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.shape == values.shape
+    # Compare bit patterns, so -0.0 and 0.0 differ.
+    np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
