@@ -186,11 +186,19 @@ def _load_bank_csv(path: Path, concepts_path: str | Path | None = None) -> ItemB
     cpath = Path(concepts_path) if concepts_path else path.parent / "concepts.csv"
     if not cpath.exists():
         raise FormatError(f"missing companion concepts file {cpath}")
+    concepts = []
     with open(cpath, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:2] != ["id", "label"]:
-        raise FormatError(f"{cpath}: expected header id,label")
-    catalog = ConceptCatalog(tuple(Concept(r[0], r[1]) for r in rows[1:] if r))
+        reader = csv.reader(fh)
+        if next(reader, [])[:2] != ["id", "label"]:
+            raise FormatError(f"{cpath}: expected header id,label")
+        for r in reader:
+            if len(r) == 1:
+                raise FormatError(
+                    f"{cpath}:{reader.line_num}: concept row {r!r} needs id and label"
+                )
+            if r:
+                concepts.append(Concept(r[0], r[1]))
+    catalog = ConceptCatalog(tuple(concepts))
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:4] != ["id", "prompt", "answer_key", "concepts"]:

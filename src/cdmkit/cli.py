@@ -163,7 +163,10 @@ def cmd_grade(args: argparse.Namespace) -> int:
     logs = []
     for path in log_paths:
         logs.extend(load_response_logs(path))
-    rule = get_rule(eff["rule"])
+    try:
+        rule = get_rule(eff["rule"])
+    except KeyError as exc:
+        raise ValidationError(exc.args[0]) from None
     out = _out_dir(eff)
 
     # Capture grading warnings into a deterministic sidecar log.
@@ -570,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return int(args.func(args))
-    except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError, KeyError) as exc:
+    except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NumericalError, DegenerateDataError) as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,14 +39,7 @@ class RunManifest:
     )
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "created_at": self.created_at,
-        }
+        return asdict(self)
 
 
 def write_manifest(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -33,13 +33,7 @@ class ReconstructionReport:
     binarize_threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "rmse": self.rmse,
-            "n_cells": self.n_cells,
-            "binarize_threshold": self.binarize_threshold,
-        }
+        return asdict(self)
 
 
 def auc_mann_whitney(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> float:
@@ -279,22 +273,19 @@ class ClusterResult:
     excluded: tuple[str, ...]
 
 
-def _cosine_distance_matrix(rows: NDArray[np.float64]) -> NDArray[np.float64]:
-    norms = np.linalg.norm(rows, axis=1)
-    sim = (rows @ rows.T) / np.outer(norms, norms)
-    d = 1.0 - np.clip(sim, -1.0, 1.0)
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
 def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     """Agglomerative average-linkage clustering of mastery rows (cosine distance).
 
-    Deterministic: equal-distance merge candidates resolve to the lowest index
-    pair.  All-zero rows have no direction and are excluded with a warning
+    scipy's ``linkage`` builds the tree; the result holds exactly
+    ``n_clusters`` clusters, the ones left after the tree's first
+    ``n - n_clusters`` merges, labelled 0.. in order of each cluster's first
+    row.  Deterministic; merges of equal height come in scipy's order.
+    All-zero rows have no direction and are excluded with a warning
     (labelled -1).  The merge list is the full dendrogram in scipy-style ids
-    (originals 0..n-1, then one new id per merge).
+    (the n clustered rows 0..n-1, then one new id per merge).
     """
+    from scipy.cluster.hierarchy import linkage
+
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
     rows = mastery.prob
@@ -309,41 +300,24 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
             f"n_clusters={n_clusters} exceeds the {len(keep)} clusterable rows"
         )
 
-    dist = _cosine_distance_matrix(rows[keep])
-    # Active clusters: scipy-style integer ids; members in original-row terms.
-    members: dict[int, list[int]] = {i: [keep[i]] for i in range(len(keep))}
-    cluster_d = {(i, j): dist[i, j] for i in range(len(keep)) for j in range(i + 1, len(keep))}
-    active = sorted(members)
-    merges: list[tuple[int, int, float]] = []
-    next_id = len(keep)
-    labels_at_cut: dict[int, list[int]] | None = None
-    while len(active) > 1:
-        if len(active) == n_clusters:
-            labels_at_cut = {cid: list(members[cid]) for cid in active}
-        best_pair = min(cluster_d, key=lambda p: (cluster_d[p], p))
-        a, b = best_pair
-        d_ab = cluster_d.pop(best_pair)
-        merges.append((a, b, d_ab))
-        size_a, size_b = len(members[a]), len(members[b])
-        members[next_id] = members.pop(a) + members.pop(b)
-        active = [c for c in active if c not in (a, b)]
-        for c in active:
-            d_ac = cluster_d.pop((min(a, c), max(a, c)))
-            d_bc = cluster_d.pop((min(b, c), max(b, c)))
-            cluster_d[(c, next_id)] = (size_a * d_ac + size_b * d_bc) / (size_a + size_b)
-        active.append(next_id)
-        next_id += 1
-    if labels_at_cut is None:  # n_clusters == 1
-        labels_at_cut = {active[0]: list(members[active[0]])}
-
+    # Cosine distance ignores scale.  Dividing each row by its largest entry
+    # keeps the norm of a row of tiny (e.g. subnormal) entries from
+    # underflowing to 0, which would make its distances non-finite.
+    kept = rows[keep]
+    tree = linkage(kept / kept.max(axis=1, keepdims=True), method="average", metric="cosine")
+    # Replay the merges up to the cut.  scipy's cut_tree re-sorts merges of
+    # equal height, so its clusters can disagree with the merge list, and
+    # fcluster(criterion="maxclust") can return fewer clusters than asked.
+    cut = np.arange(len(keep))
+    for step, pair in enumerate(tree[: len(keep) - n_clusters, :2]):
+        cut[np.isin(cut, pair)] = len(keep) + step
     # Stable labels: clusters numbered by their smallest original row index.
-    ordered = sorted(labels_at_cut.values(), key=min)
+    label_of: dict[int, int] = {}
     assignments = {mid: -1 for mid in mastery.model_ids}
-    for label, rows_in_cluster in enumerate(ordered):
-        for i in rows_in_cluster:
-            assignments[mastery.model_ids[i]] = label
+    for i, c in zip(keep, cut.tolist()):
+        assignments[mastery.model_ids[i]] = label_of.setdefault(c, len(label_of))
     return ClusterResult(
         assignments=assignments,
-        merges=tuple(merges),
+        merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in tree),
         excluded=excluded,
     )

@@ -221,7 +221,8 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
     one id plus one value per header column), row ids and column ids are each
     unique, and every value is finite.  A violation raises ``FormatError``
     naming the file and the offending data row (counted from 1 after the
-    header) or id.  A file holding only a header loads as an empty array.
+    header) or id.  Empty lines are skipped; a file holding only a header
+    (and empty lines) loads as an empty array.
 
     The header goes through ``csv.reader``; numpy's C reader parses the rest
     of the file straight from the open file, collecting the row ids through a
@@ -244,9 +245,14 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
         dup = _first_duplicate(col_ids)
         if dup is not None:
             raise FormatError(f"{path}: duplicate column id {dup!r}")
-        body_start = fh.tell()
-        if not fh.read(1):
-            return np.array([], dtype=np.float64), (), col_ids
+        # numpy skips empty lines; a body of nothing else is header-only.
+        while True:
+            body_start = fh.tell()
+            line = fh.readline()
+            if not line:
+                return np.array([], dtype=np.float64), (), col_ids
+            if line.strip("\r\n"):
+                break
         fh.seek(body_start)
         try:
             # No usecols: loadtxt would silently drop cells past the header.

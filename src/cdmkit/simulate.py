@@ -18,7 +18,7 @@ meaningful test.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,20 +70,7 @@ class SimConfig:
             raise ValidationError("repeats must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_models": self.n_models,
-            "n_concepts": self.n_concepts,
-            "n_skills": self.n_skills,
-            "seed": self.seed,
-            "gamma_item": list(self.gamma_item),
-            "gamma_model": list(self.gamma_model),
-            "gamma_concept": list(self.gamma_concept),
-            "q_mode": self.q_mode,
-            "q_threshold": self.q_threshold,
-            "response_mode": self.response_mode,
-            "repeats": self.repeats,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

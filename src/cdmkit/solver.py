@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -90,21 +90,7 @@ class McfConfig:
                 raise ValidationError(f"{name} shape/rate must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "n_skills": self.n_skills,
-            "q_weight": self.q_weight,
-            "ridge_item": self.ridge_item,
-            "ridge_model": self.ridge_model,
-            "ridge_concept": self.ridge_concept,
-            "max_iters": self.max_iters,
-            "tol": self.tol,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "init": self.init,
-            "init_gamma_item": list(self.init_gamma_item),
-            "init_gamma_model": list(self.init_gamma_model),
-            "init_gamma_concept": list(self.init_gamma_concept),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "McfConfig":

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cdmkit
+from cdmkit.bank import load_item_bank
 from cdmkit.cli import _load_annotations, main
 from cdmkit.errors import FormatError, ValidationError
 from cdmkit.metrics import concept_counts
@@ -203,6 +204,13 @@ def test_grade_empty_glob_is_usage_error(grade_world, monkeypatch, capsys):
     monkeypatch.chdir(grade_world)
     assert main(["grade", "--bank", "bank.json", "--logs", "nope_*.jsonl"]) == 2
     assert "nope_*.jsonl" in capsys.readouterr().err
+
+
+def test_grade_unknown_rule_is_usage_error(grade_world, monkeypatch, capsys):
+    monkeypatch.chdir(grade_world)
+    assert main(["grade", "--bank", "bank.json", "--logs", "log_*.jsonl", "--rule", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown grading rule 'nope'; known: ['choice-letter']\n"
 
 
 def test_grade_missing_bank_file(grade_world, monkeypatch, capsys):
@@ -567,6 +575,10 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
+    ("one-cell concept row", _write("concepts.csv", "id,label\nc0,zero\nc1\n"),
+     lambda root: load_item_bank(root / "items.csv"),
+     FormatError, ["grade", "--bank", "items.csv", "--logs", "*.jsonl", "--out", "g"], 2,
+     "concepts.csv", "concepts.csv:3: concept row ['c1'] needs id and label"),
 ]
 
 

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from cdmkit import (
     DegenerateDataError,
@@ -312,3 +316,62 @@ def test_cluster_labels_follow_row_order():
     assert res.assignments["m2"] == 0
     assert res.assignments["m1"] == 1
     assert res.assignments["m3"] == 1
+
+
+# Continuous values, values from a three-point grid (many equal distances),
+# and rows copied from a few base rows (zero distances); all-zero rows occur
+# in each and are excluded.
+_continuous = st.floats(0.0, 1.0)
+_tie_heavy = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def _clustering_cases(draw):
+    n_cols = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["continuous", "tie-heavy", "duplicated"]))
+    value = _tie_heavy if kind == "tie-heavy" else _continuous
+    row = st.lists(value, min_size=n_cols, max_size=n_cols)
+    if kind == "duplicated":
+        row = st.sampled_from(draw(st.lists(row, min_size=1, max_size=3)))
+    prob = np.array(draw(st.lists(row, min_size=2, max_size=12)))
+    n_kept = int(np.any(prob != 0, axis=1).sum())
+    return prob, draw(st.integers(1, max(n_kept, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+# Equal heights: cut_tree's clusters disagree with the merge list here, and
+# fcluster(criterion="maxclust") returns 2 clusters.
+@example((np.array([[0.0, 1.0]] * 2 + [[1.0, 0.0]] * 3), 4))
+# Tiny entries: an unscaled norm underflows to 0.
+@example((np.array([[1.0], [3e-290]]), 1))
+@given(_clustering_cases())
+def test_cluster_models_is_average_linkage(case):
+    prob, n_clusters = case
+    keep = np.flatnonzero(np.any(prob != 0, axis=1))
+    assume(keep.size >= 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the all-zero-row warning
+        res = cluster_models(_mm(prob), n_clusters=n_clusters)
+    labels = np.array([res.assignments[f"m{j}"] for j in range(len(prob))])
+    assert sorted(set(labels[keep])) == list(range(n_clusters))
+    assert labels[keep[0]] == 0
+    assert np.all(np.delete(labels, keep) == -1)
+
+    # Replay the merges against cosine distances computed here: each height
+    # is the mean distance between the two merged clusters' members.
+    # Rows are scaled to a largest entry of 1 first, so tiny rows keep a norm.
+    rows = prob[keep] / prob[keep].max(axis=1, keepdims=True)
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    dist = 1.0 - unit @ unit.T
+    members = {i: [i] for i in range(keep.size)}
+    heights = []
+    for step, (a, b, d) in enumerate(res.merges):
+        if step == keep.size - n_clusters:
+            # The cut: the clusters still unmerged are the labelled clusters.
+            got = sorted(sorted(np.flatnonzero(labels[keep] == c)) for c in range(n_clusters))
+            assert got == sorted(sorted(m) for m in members.values())
+        assert d == pytest.approx(dist[np.ix_(members[a], members[b])].mean(), abs=1e-12)
+        members[keep.size + step] = members.pop(a) + members.pop(b)
+        heights.append(d)
+    assert len(res.merges) == keep.size - 1
+    assert np.all(np.diff(heights) >= 0)

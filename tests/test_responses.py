@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -157,6 +159,16 @@ def test_matrix_validation():
         ResponseMatrix(np.array([[0.5]]), np.array([[np.nan]]), ("a",), ("x",))
     with pytest.raises(ValidationError, match="weight 0"):
         ResponseMatrix(np.array([[0.5]]), np.array([[0.0]]), ("a",), ("x",))
+
+
+@pytest.mark.parametrize("text", ["id,a\r\n", "id,a\r\n\r\n", "id,a\n\n\n"])
+def test_header_only_matrix_loads_empty(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, row_ids, col_ids = load_matrix_csv(path)
+    assert values.size == 0 and row_ids == () and col_ids == ("a",)
 
 
 # Ids that must survive the CSV round trip: the delimiter, the quote, the
