@@ -5,7 +5,9 @@ failures, 2 on usage or input errors.  Identical inputs, flags, and seed
 produce numerically identical output files; only the manifest timestamp may
 differ between reruns.  Option precedence: command-line flags beat the
 --config file, which beats built-in defaults; the effective configuration is
-echoed into the manifest.
+echoed into the manifest.  Each subcommand declares its options once, in a
+table of :class:`Option` rows, and every value is checked against its row
+before any input is read.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import glob as globmod
 import json
 import logging
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .bank import load_item_bank
@@ -28,10 +29,11 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .grading import get_rule
+from .grading import DEFAULT_RULE_NAME, get_rule
 from .heatmap import grid_from_mastery, render_svg, save_heatmap_csv
 from .manifest import write_manifest
 from .metrics import (
+    DISTANCES,
     cluster_models,
     concept_counts,
     krippendorff_alpha,
@@ -39,15 +41,17 @@ from .metrics import (
     render_concept_table,
 )
 from .responses import (
+    DEFAULT_REPEATS,
     aggregate,
     load_matrix_csv,
     load_response_logs,
     load_response_matrix,
-    save_matrix_csv,
     save_response_matrix,
 )
-from .simulate import SimConfig, save_sim_output, simulate
+from .simulate import Q_MODES, RESPONSE_MODES, SimConfig, save_sim_output, simulate
 from .solver import (
+    INITS,
+    NORMALIZATIONS,
     McfConfig,
     load_mastery,
     mastery,
@@ -61,26 +65,89 @@ from .solver import (
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of two numbers"}
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+
+def _is_number(value: object) -> bool:
+    """A JSON number a float can hold; booleans are not numbers."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option: ``key`` is its config-file and manifest key, and with ``_``
+    written as ``-`` its flag.  ``kind`` is int, float, str or tuple (a pair of
+    numbers); ``field`` names the SimConfig/McfConfig field it feeds, if any.
+    """
+
+    key: str
+    kind: type
+    default: object = None
+    aliases: tuple[str, ...] = ()
+    choices: tuple[str, ...] = ()
+    field: str | None = None
+    help: str | None = None
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        kwargs: dict = {"dest": self.key, "help": self.help, "choices": self.choices or None}
+        if self.kind is tuple:
+            kwargs.update(nargs=2, type=float, metavar=("SHAPE", "RATE"))
+        elif self.kind is not str:
+            kwargs["type"] = self.kind
+        parser.add_argument("--" + self.key.replace("_", "-"), *self.aliases, **kwargs)
+
+    def check(self, value: object, source: str) -> object:
+        """``value`` as this option's type, or a FormatError naming ``source``.
+
+        Booleans are not numbers; ``None`` is accepted only where it is the default.
+        """
+        if value is None and self.default is None:
+            return None
+        if self.kind is tuple:
+            ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+        elif self.kind is float:
+            ok = _is_number(value)
+        else:
+            ok = isinstance(value, self.kind) and not isinstance(value, bool)
+        if not ok or (self.choices and value not in self.choices):
+            expected = f"one of {list(self.choices)}" if self.choices else _KIND_NAMES[self.kind]
+            raise FormatError(
+                f"{source}: {self.key} must be {expected}, got {json.dumps(value)}"
+            )
+        return tuple(map(float, value)) if self.kind is tuple else self.kind(value)
+
+
+def _field(cls: type, name: str, key: str | None = None, **kwargs) -> Option:
+    """The option for dataclass field ``cls.name``, with its type and default."""
+    default = cls.__dataclass_fields__[name].default
+    return Option(key or name, type(default), default, field=name, **kwargs)
+
+
+def _fields(options: tuple[Option, ...], effective: dict) -> dict:
+    """The config-dataclass arguments among the effective options."""
+    return {o.field: effective[o.key] for o in options if o.field}
+
+
+def _effective(args: argparse.Namespace) -> dict:
     """flags > config file > defaults; returns the effective option dict."""
-    effective = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
+    options = {o.key: o for o in args.options}
+    effective = {key: o.default for key, o in options.items()}
+    if args.config:
         try:
-            payload = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise FormatError(f"{config_path}: invalid JSON ({exc})") from exc
+            raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
         if not isinstance(payload, dict):
-            raise FormatError(f"{config_path}: config file must hold a JSON object")
-        unknown = sorted(set(payload) - set(defaults))
+            raise FormatError(f"{args.config}: config file must hold a JSON object")
+        unknown = sorted(set(payload) - set(options))
         if unknown:
-            raise FormatError(f"{config_path}: unknown config keys {unknown}")
-        effective.update(payload)
-    for key in defaults:
-        value = getattr(args, key, None)
+            raise FormatError(f"{args.config}: unknown config keys {unknown}")
+        for key, value in payload.items():
+            effective[key] = options[key].check(value, args.config)
+    for key, option in options.items():
+        value = getattr(args, key)
         if value is not None:
-            effective[key] = value
+            effective[key] = option.check(value, "command line")
     return effective
 
 
@@ -98,39 +165,22 @@ def _write_json(path: Path, payload: dict) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
-SIMULATE_DEFAULTS: dict = {
-    "items": 210,
-    "models": 30,
-    "concepts": 70,
-    "skills": 5,
-    "seed": 0,
-    "q_mode": "threshold",
-    "q_threshold": 0.92,
-    "response_mode": "mean",
-    "repeats": 10,
-    "gamma_item": list(SimConfig.__dataclass_fields__["gamma_item"].default),
-    "gamma_model": list(SimConfig.__dataclass_fields__["gamma_model"].default),
-    "gamma_concept": list(SimConfig.__dataclass_fields__["gamma_concept"].default),
-    "out": "sim_out",
-}
+SIMULATE_OPTIONS = (
+    Option("items", int, 210, ("--m",), field="n_items"),
+    Option("models", int, 30, ("--n",), field="n_models"),
+    Option("concepts", int, 70, ("--k",), field="n_concepts"),
+    Option("skills", int, 5, ("--t",), field="n_skills"),
+    _field(SimConfig, "seed"),
+    _field(SimConfig, "q_mode", choices=Q_MODES),
+    _field(SimConfig, "q_threshold"),
+    _field(SimConfig, "response_mode", choices=RESPONSE_MODES),
+    *(_field(SimConfig, name) for name in ("repeats", "gamma_item", "gamma_model", "gamma_concept")),
+    Option("out", str, "sim_out"),
+)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, SIMULATE_DEFAULTS)
-    config = SimConfig(
-        n_items=int(eff["items"]),
-        n_models=int(eff["models"]),
-        n_concepts=int(eff["concepts"]),
-        n_skills=int(eff["skills"]),
-        seed=int(eff["seed"]),
-        gamma_item=tuple(eff["gamma_item"]),
-        gamma_model=tuple(eff["gamma_model"]),
-        gamma_concept=tuple(eff["gamma_concept"]),
-        q_mode=eff["q_mode"],
-        q_threshold=float(eff["q_threshold"]),
-        response_mode=eff["response_mode"],
-        repeats=int(eff["repeats"]),
-    )
+def cmd_simulate(eff: dict) -> int:
+    config = SimConfig(**_fields(SIMULATE_OPTIONS, eff))
     out = _out_dir(eff)
     sim = simulate(config)
     save_sim_output(sim, out)
@@ -143,19 +193,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # grade
 # ---------------------------------------------------------------------------
 
-GRADE_DEFAULTS: dict = {
-    "bank": None,
-    "logs": None,
-    "rule": "choice-letter",
-    "repeats": 10,
-    "out": "grade_out",
-}
+GRADE_OPTIONS = (
+    Option("bank", str),
+    Option("logs", str, help="glob of JSONL response logs"),
+    Option("rule", str, DEFAULT_RULE_NAME),
+    Option("repeats", int, DEFAULT_REPEATS),
+    Option("out", str, "grade_out"),
+)
 
 
-def cmd_grade(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, GRADE_DEFAULTS)
+def cmd_grade(eff: dict) -> int:
     if not eff["bank"] or not eff["logs"]:
         raise ValidationError("grade requires --bank and --logs")
+    try:
+        rule = get_rule(eff["rule"])
+    except KeyError as exc:
+        raise ValidationError(exc.args[0]) from None
     bank = load_item_bank(eff["bank"])
     log_paths = sorted(globmod.glob(eff["logs"]))
     if not log_paths:
@@ -163,10 +216,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
     logs = []
     for path in log_paths:
         logs.extend(load_response_logs(path))
-    try:
-        rule = get_rule(eff["rule"])
-    except KeyError as exc:
-        raise ValidationError(exc.args[0]) from None
     out = _out_dir(eff)
 
     # Capture grading warnings into a deterministic sidecar log.
@@ -176,7 +225,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     grading_logger = logging.getLogger("cdmkit.grading")
     grading_logger.addHandler(handler)
     try:
-        matrix = aggregate(logs, bank, rule=rule, repeats=int(eff["repeats"]))
+        matrix = aggregate(logs, bank, rule=rule, repeats=eff["repeats"])
     finally:
         grading_logger.removeHandler(handler)
 
@@ -196,31 +245,27 @@ def cmd_grade(args: argparse.Namespace) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-FIT_DEFAULTS: dict = {
-    "scores": None,
-    "weights": None,
-    "qmatrix": None,
-    "skills": 16,
-    "q_weight": 1.0,
-    "ridge_item": 0.01,
-    "ridge_model": 0.01,
-    "ridge_concept": 0.01,
-    "max_iters": 2000,
-    "tol": 1e-6,
-    "epsilon": 1e-12,
-    "seed": 0,
-    "starts": 8,
-    "init": "gamma_prior",
-    "normalization": "clip",
-    "binarize_threshold": 0.5,
-    "out": "fit_out",
-}
+FIT_OPTIONS = (
+    Option("scores", str),
+    Option("weights", str),
+    Option("qmatrix", str),
+    _field(McfConfig, "n_skills", "skills", aliases=("--t",)),
+    *(_field(McfConfig, name) for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept")),
+    *(_field(McfConfig, name) for name in ("max_iters", "tol", "epsilon", "seed")),
+    Option("starts", int, 8),
+    _field(McfConfig, "init", choices=INITS),
+    Option("normalization", str, "clip", choices=NORMALIZATIONS),
+    Option("binarize_threshold", float, 0.5),
+    Option("out", str, "fit_out"),
+)
 
 
-def _load_fit_inputs(eff: dict):
+def _load_fit_inputs(eff: dict, command: str):
     if not eff["scores"] or not eff["qmatrix"]:
-        raise ValidationError("fit requires --scores and --qmatrix")
+        raise ValidationError(f"{command} requires --scores and --qmatrix")
     matrix = load_response_matrix(eff["scores"], eff["weights"])
+    if not matrix.n_items:
+        raise FormatError(f"{eff['scores']}: no data rows")
     qmat, q_item_ids, concept_ids = load_matrix_csv(eff["qmatrix"])
     if qmat.shape[0] != matrix.scores.shape[0]:
         raise DimensionError(
@@ -231,27 +276,14 @@ def _load_fit_inputs(eff: dict):
         raise DimensionError(
             f"item ids in {eff['qmatrix']} do not match {eff['scores']}"
         )
-    return matrix, qmat, concept_ids
+    inputs = [eff["scores"], eff["qmatrix"]] + ([eff["weights"]] if eff["weights"] else [])
+    return matrix, qmat, concept_ids, inputs
 
 
-def cmd_fit(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, FIT_DEFAULTS)
-    matrix, qmat, concept_ids = _load_fit_inputs(eff)
-    config = McfConfig(
-        n_skills=int(eff["skills"]),
-        q_weight=float(eff["q_weight"]),
-        ridge_item=float(eff["ridge_item"]),
-        ridge_model=float(eff["ridge_model"]),
-        ridge_concept=float(eff["ridge_concept"]),
-        max_iters=int(eff["max_iters"]),
-        tol=float(eff["tol"]),
-        epsilon=float(eff["epsilon"]),
-        seed=int(eff["seed"]),
-        init=eff["init"],
-    )
-    result = multistart_fit(
-        matrix.scores, matrix.weights, qmat, config, starts=int(eff["starts"])
-    )
+def cmd_fit(eff: dict) -> int:
+    config = McfConfig(**_fields(FIT_OPTIONS, eff))
+    matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
+    result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
     out = _out_dir(eff)
     save_factors(
         result.factors, out,
@@ -267,7 +299,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     predicted = predict_scores(result.factors)
     report = reconstruction_metrics(
         predicted.values, matrix.scores, matrix.weights,
-        binarize_threshold=float(eff["binarize_threshold"]),
+        binarize_threshold=eff["binarize_threshold"],
     )
     _write_json(out / "reconstruction.json", report.to_dict())
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
@@ -275,9 +307,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for i, value in enumerate(result.objective_trace):
             fh.write(f"{i},{repr(value)}\n")
     save_fit_bundle(result, config, out / "fit.json")
-    inputs = [eff["scores"], eff["qmatrix"]]
-    if eff["weights"]:
-        inputs.append(eff["weights"])
     write_manifest(out, "fit", eff, inputs=inputs, seed=config.seed)
     auc_text = "absent" if report.auc is None else f"{report.auc:.4f}"
     print(
@@ -291,22 +320,21 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # diagnose
 # ---------------------------------------------------------------------------
 
-DIAGNOSE_DEFAULTS: dict = {
-    "mastery": None,
-    "threshold": 0.9,
-    "clusters": 2,
-    "out": "diagnose_out",
-}
+DIAGNOSE_OPTIONS = (
+    Option("mastery", str, help="path to a mastery.json bundle"),
+    Option("threshold", float, 0.9),
+    Option("clusters", int, 2),
+    Option("out", str, "diagnose_out"),
+)
 
 
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, DIAGNOSE_DEFAULTS)
+def cmd_diagnose(eff: dict) -> int:
     if not eff["mastery"]:
         raise ValidationError("diagnose requires --mastery (a mastery.json bundle)")
     mm = load_mastery(eff["mastery"])
     out = _out_dir(eff)
 
-    report = concept_counts(mm, threshold=float(eff["threshold"]))
+    report = concept_counts(mm, threshold=eff["threshold"])
     with open(out / "concept_counts.csv", "w", encoding="utf-8") as fh:
         fh.write("model_id,mastered_count,total,mean_score\n")
         for row in report.rows:
@@ -319,7 +347,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     save_heatmap_csv(grid, out / "heatmap.csv")
     (out / "heatmap.svg").write_text(render_svg(grid), encoding="utf-8")
 
-    n_clusters = int(eff["clusters"])
+    n_clusters = eff["clusters"]
     if mm.n_models < 2:
         print("clustering skipped: need at least 2 models")
         _write_json(out / "clusters.json", {"skipped": "need at least 2 models"})
@@ -343,11 +371,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 # agreement
 # ---------------------------------------------------------------------------
 
-AGREEMENT_DEFAULTS: dict = {
-    "annotations": None,
-    "distance": "nominal",
-    "out": "agreement_out",
-}
+AGREEMENT_OPTIONS = (
+    Option("annotations", str),
+    Option("distance", str, "nominal", choices=DISTANCES),
+    Option("out", str, "agreement_out"),
+)
 
 
 def _load_annotations(path: str, distance: str) -> list[list[object]]:
@@ -380,8 +408,7 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
     return table
 
 
-def cmd_agreement(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, AGREEMENT_DEFAULTS)
+def cmd_agreement(eff: dict) -> int:
     if not eff["annotations"]:
         raise ValidationError("agreement requires --annotations")
     table = _load_annotations(eff["annotations"], eff["distance"])
@@ -405,24 +432,20 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-SWEEP_DEFAULTS: dict = {
-    "scores": None,
-    "weights": None,
-    "qmatrix": None,
-    "skills_grid": "4,8,16,32",
-    "q_weight_grid": "1.0",
-    "max_iters": 2000,
-    "tol": 1e-6,
-    "seed": 0,
-    "starts": 1,
-    "out": "sweep_out",
-}
+SWEEP_OPTIONS = (
+    *(o for o in FIT_OPTIONS if o.key in ("scores", "weights", "qmatrix")),
+    Option("skills_grid", str, "4,8,16,32"),
+    Option("q_weight_grid", str, "1.0"),
+    *(o for o in FIT_OPTIONS if o.key in ("max_iters", "tol", "seed")),
+    Option("starts", int, 1),
+    Option("out", str, "sweep_out"),
+)
 
 
-def _parse_grid(text: object, flag: str, kind: type) -> list:
+def _parse_grid(text: str, flag: str, kind: type) -> list:
     """Comma-separated grid values; a token ``kind`` cannot parse is a usage error."""
     values = []
-    for token in str(text).split(","):
+    for token in text.split(","):
         if token:
             try:
                 values.append(kind(token))
@@ -433,26 +456,19 @@ def _parse_grid(text: object, flag: str, kind: type) -> list:
     return values
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    eff = _merge_config(args, SWEEP_DEFAULTS)
+def cmd_sweep(eff: dict) -> int:
     skills_grid = _parse_grid(eff["skills_grid"], "--skills-grid", int)
     q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", float)
     if not skills_grid or not q_weight_grid:
         raise ValidationError("empty sweep grid")
-    matrix, qmat, _ = _load_fit_inputs(eff)
+    matrix, qmat, _, inputs = _load_fit_inputs(eff, "sweep")
     out = _out_dir(eff)
     lines = ["n_skills,q_weight,objective,iterations,converged,accuracy,auc,rmse"]
     for n_skills in skills_grid:
         for q_weight in q_weight_grid:
-            config = McfConfig(
-                n_skills=n_skills,
-                q_weight=q_weight,
-                max_iters=int(eff["max_iters"]),
-                tol=float(eff["tol"]),
-                seed=int(eff["seed"]),
-            )
+            config = McfConfig(n_skills=n_skills, q_weight=q_weight, **_fields(SWEEP_OPTIONS, eff))
             result = multistart_fit(
-                matrix.scores, matrix.weights, qmat, config, starts=int(eff["starts"])
+                matrix.scores, matrix.weights, qmat, config, starts=eff["starts"]
             )
             predicted = predict_scores(result.factors)
             report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
@@ -463,10 +479,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"{repr(report.accuracy)},{auc_text},{repr(report.rmse)}"
             )
     (out / "sweep.csv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    inputs = [eff["scores"], eff["qmatrix"]]
-    if eff["weights"]:
-        inputs.append(eff["weights"])
-    write_manifest(out, "sweep", eff, inputs=inputs, seed=int(eff["seed"]))
+    write_manifest(out, "sweep", eff, inputs=inputs, seed=eff["seed"])
     print(f"swept {len(skills_grid)}x{len(q_weight_grid)} grid -> {out}")
     return 0
 
@@ -475,6 +488,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser / entry
 # ---------------------------------------------------------------------------
 
+COMMANDS = {
+    "simulate": ("draw a planted-truth synthetic world", SIMULATE_OPTIONS, cmd_simulate),
+    "grade": ("grade response logs against an item bank", GRADE_OPTIONS, cmd_grade),
+    "fit": ("fit the co-factorization and export mastery", FIT_OPTIONS, cmd_fit),
+    "diagnose": ("rankings, heatmap, clusters from mastery", DIAGNOSE_OPTIONS, cmd_diagnose),
+    "agreement": ("Krippendorff alpha over an annotation CSV", AGREEMENT_OPTIONS, cmd_agreement),
+    "sweep": ("grid over skill count and tag weight", SWEEP_OPTIONS, cmd_sweep),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cdmkit",
@@ -482,86 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="draw a planted-truth synthetic world")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--items", "--m", type=int, dest="items")
-    p.add_argument("--models", "--n", type=int, dest="models")
-    p.add_argument("--concepts", "--k", type=int, dest="concepts")
-    p.add_argument("--skills", "--t", type=int, dest="skills")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--q-mode", choices=["threshold", "bernoulli"], dest="q_mode")
-    p.add_argument("--q-threshold", type=float, dest="q_threshold")
-    p.add_argument("--response-mode", choices=["mean", "bernoulli"], dest="response_mode")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--gamma-item", nargs=2, type=float, dest="gamma_item",
-                   metavar=("SHAPE", "RATE"))
-    p.add_argument("--gamma-model", nargs=2, type=float, dest="gamma_model",
-                   metavar=("SHAPE", "RATE"))
-    p.add_argument("--gamma-concept", nargs=2, type=float, dest="gamma_concept",
-                   metavar=("SHAPE", "RATE"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("grade", help="grade response logs against an item bank")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--bank")
-    p.add_argument("--logs", help="glob of JSONL response logs")
-    p.add_argument("--rule")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_grade)
-
-    p = sub.add_parser("fit", help="fit the co-factorization and export mastery")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--scores")
-    p.add_argument("--weights")
-    p.add_argument("--qmatrix")
-    p.add_argument("--skills", "--t", type=int, dest="skills")
-    p.add_argument("--q-weight", type=float, dest="q_weight")
-    p.add_argument("--ridge-item", type=float, dest="ridge_item")
-    p.add_argument("--ridge-model", type=float, dest="ridge_model")
-    p.add_argument("--ridge-concept", type=float, dest="ridge_concept")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--init", choices=["gamma_prior", "uniform"])
-    p.add_argument("--normalization", choices=["clip", "minmax_global", "minmax_per_concept"])
-    p.add_argument("--binarize-threshold", type=float, dest="binarize_threshold")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("diagnose", help="rankings, heatmap, clusters from mastery")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--mastery", help="path to a mastery.json bundle")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--clusters", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_diagnose)
-
-    p = sub.add_parser("agreement", help="Krippendorff alpha over an annotation CSV")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--annotations")
-    p.add_argument("--distance", choices=["nominal", "jaccard"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_agreement)
-
-    p = sub.add_parser("sweep", help="grid over skill count and tag weight")
-    p.add_argument("--config", help="JSON file of option defaults")
-    p.add_argument("--scores")
-    p.add_argument("--weights")
-    p.add_argument("--qmatrix")
-    p.add_argument("--skills-grid", dest="skills_grid")
-    p.add_argument("--q-weight-grid", dest="q_weight_grid")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
-
+    for name, (help_text, options, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON file of option defaults")
+        for option in options:
+            option.add_to(p)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -572,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return int(args.func(args))
+        return int(args.func(_effective(args)))
     except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -67,8 +67,9 @@ def choice_letter_rule(raw_output: str, answer_key: str) -> int:
 
 
 DEFAULT_RULE: GradingRule = choice_letter_rule
+DEFAULT_RULE_NAME = "choice-letter"
 
-_RULES: dict[str, GradingRule] = {"choice-letter": choice_letter_rule}
+_RULES: dict[str, GradingRule] = {DEFAULT_RULE_NAME: choice_letter_rule}
 
 
 def get_rule(name: str) -> GradingRule:

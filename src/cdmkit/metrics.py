@@ -177,6 +177,9 @@ def render_concept_table(report: ConceptCountReport) -> str:
 # Inter-annotator agreement
 # ---------------------------------------------------------------------------
 
+DISTANCES = ("nominal", "jaccard")
+
+
 @dataclass(frozen=True)
 class AgreementReport:
     krippendorff_alpha: float

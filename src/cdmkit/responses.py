@@ -222,7 +222,7 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
     unique, and every value is finite.  A violation raises ``FormatError``
     naming the file and the offending data row (counted from 1 after the
     header) or id.  Empty lines are skipped; a file holding only a header
-    (and empty lines) loads as an empty array.
+    (and empty lines) loads as a ``(0, n_columns)`` array.
 
     The header goes through ``csv.reader``; numpy's C reader parses the rest
     of the file straight from the open file, collecting the row ids through a
@@ -250,7 +250,7 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
             body_start = fh.tell()
             line = fh.readline()
             if not line:
-                return np.array([], dtype=np.float64), (), col_ids
+                return np.empty((0, len(col_ids))), (), col_ids
             if line.strip("\r\n"):
                 break
         fh.seek(body_start)

@@ -30,6 +30,8 @@ from .solver import FactorSet, MasteryMatrix, _default_ids
 DEFAULT_GAMMA_ITEM = (0.4, 1.0 / 3.0)
 DEFAULT_GAMMA_MODEL = (8.0, 10.0)
 DEFAULT_GAMMA_CONCEPT = (0.2, 0.16)
+Q_MODES = ("threshold", "bernoulli")
+RESPONSE_MODES = ("mean", "bernoulli")
 _MAX_RESAMPLES = 1000
 
 
@@ -60,11 +62,11 @@ class SimConfig:
             shape, rate = getattr(self, name)
             if shape <= 0 or rate <= 0:
                 raise ValidationError(f"{name} shape/rate must be > 0")
-        if self.q_mode not in ("threshold", "bernoulli"):
+        if self.q_mode not in Q_MODES:
             raise ValidationError(f"unknown q_mode {self.q_mode!r}")
         if not 0.0 < self.q_threshold < 1.0:
             raise ValidationError("q_threshold must lie in (0, 1)")
-        if self.response_mode not in ("bernoulli", "mean"):
+        if self.response_mode not in RESPONSE_MODES:
             raise ValidationError(f"unknown response_mode {self.response_mode!r}")
         if self.repeats < 1:
             raise ValidationError("repeats must be >= 1")

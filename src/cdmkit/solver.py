@@ -49,6 +49,7 @@ from .errors import DimensionError, NumericalError, ValidationError
 from .responses import load_matrix_csv, save_matrix_csv
 
 NORMALIZATIONS = ("clip", "minmax_global", "minmax_per_concept")
+INITS = ("gamma_prior", "uniform")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class McfConfig:
             raise ValidationError("tol must be > 0")
         if not self.epsilon > 0:
             raise ValidationError("epsilon must be > 0")
-        if self.init not in ("gamma_prior", "uniform"):
+        if self.init not in INITS:
             raise ValidationError(f"unknown init mode {self.init!r}")
         for name in ("init_gamma_item", "init_gamma_model", "init_gamma_concept"):
             shape, rate = getattr(self, name)

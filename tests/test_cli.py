@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import cdmkit
 from cdmkit.bank import load_item_bank
-from cdmkit.cli import _load_annotations, main
+from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_parser, main
 from cdmkit.errors import FormatError, ValidationError
 from cdmkit.metrics import concept_counts
 from cdmkit.responses import load_matrix_csv, load_response_matrix, save_matrix_csv
@@ -115,6 +116,171 @@ def test_config_file_invalid_json(tmp_path, monkeypatch, capsys):
     (tmp_path / "conf.json").write_text("{not json")
     assert main(["simulate", "--config", "conf.json"]) == 2
     assert "conf.json" in capsys.readouterr().err
+
+
+# Every option of every subcommand, by config key: its flags, argparse type,
+# nargs, choices, and the default the manifest echoes when nothing sets it.
+PINNED_OPTIONS = {
+    "simulate": {
+        "items": (["--items", "--m"], int, None, None, 210),
+        "models": (["--models", "--n"], int, None, None, 30),
+        "concepts": (["--concepts", "--k"], int, None, None, 70),
+        "skills": (["--skills", "--t"], int, None, None, 5),
+        "seed": (["--seed"], int, None, None, 0),
+        "q_mode": (["--q-mode"], None, None, ["threshold", "bernoulli"], "threshold"),
+        "q_threshold": (["--q-threshold"], float, None, None, 0.92),
+        "response_mode": (["--response-mode"], None, None, ["mean", "bernoulli"], "mean"),
+        "repeats": (["--repeats"], int, None, None, 10),
+        "gamma_item": (["--gamma-item"], float, 2, None, [0.4, 1 / 3]),
+        "gamma_model": (["--gamma-model"], float, 2, None, [8.0, 10.0]),
+        "gamma_concept": (["--gamma-concept"], float, 2, None, [0.2, 0.16]),
+        "out": (["--out"], None, None, None, "sim_out"),
+    },
+    "grade": {
+        "bank": (["--bank"], None, None, None, None),
+        "logs": (["--logs"], None, None, None, None),
+        "rule": (["--rule"], None, None, None, "choice-letter"),
+        "repeats": (["--repeats"], int, None, None, 10),
+        "out": (["--out"], None, None, None, "grade_out"),
+    },
+    "fit": {
+        "scores": (["--scores"], None, None, None, None),
+        "weights": (["--weights"], None, None, None, None),
+        "qmatrix": (["--qmatrix"], None, None, None, None),
+        "skills": (["--skills", "--t"], int, None, None, 16),
+        "q_weight": (["--q-weight"], float, None, None, 1.0),
+        "ridge_item": (["--ridge-item"], float, None, None, 0.01),
+        "ridge_model": (["--ridge-model"], float, None, None, 0.01),
+        "ridge_concept": (["--ridge-concept"], float, None, None, 0.01),
+        "max_iters": (["--max-iters"], int, None, None, 2000),
+        "tol": (["--tol"], float, None, None, 1e-6),
+        "epsilon": (["--epsilon"], float, None, None, 1e-12),
+        "seed": (["--seed"], int, None, None, 0),
+        "starts": (["--starts"], int, None, None, 8),
+        "init": (["--init"], None, None, ["gamma_prior", "uniform"], "gamma_prior"),
+        "normalization": (
+            ["--normalization"], None, None,
+            ["clip", "minmax_global", "minmax_per_concept"], "clip",
+        ),
+        "binarize_threshold": (["--binarize-threshold"], float, None, None, 0.5),
+        "out": (["--out"], None, None, None, "fit_out"),
+    },
+    "diagnose": {
+        "mastery": (["--mastery"], None, None, None, None),
+        "threshold": (["--threshold"], float, None, None, 0.9),
+        "clusters": (["--clusters"], int, None, None, 2),
+        "out": (["--out"], None, None, None, "diagnose_out"),
+    },
+    "agreement": {
+        "annotations": (["--annotations"], None, None, None, None),
+        "distance": (["--distance"], None, None, ["nominal", "jaccard"], "nominal"),
+        "out": (["--out"], None, None, None, "agreement_out"),
+    },
+    "sweep": {
+        "scores": (["--scores"], None, None, None, None),
+        "weights": (["--weights"], None, None, None, None),
+        "qmatrix": (["--qmatrix"], None, None, None, None),
+        "skills_grid": (["--skills-grid"], None, None, None, "4,8,16,32"),
+        "q_weight_grid": (["--q-weight-grid"], None, None, None, "1.0"),
+        "max_iters": (["--max-iters"], int, None, None, 2000),
+        "tol": (["--tol"], float, None, None, 1e-6),
+        "seed": (["--seed"], int, None, None, 0),
+        "starts": (["--starts"], int, None, None, 1),
+        "out": (["--out"], None, None, None, "sweep_out"),
+    },
+}
+
+
+def test_options_are_pinned():
+    subparsers = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers) == set(PINNED_OPTIONS)
+    for command, pinned in PINNED_OPTIONS.items():
+        parser = subparsers[command]
+        # The defaults as a run with no flags and no config file echoes them.
+        defaults = json.loads(json.dumps(_effective(parser.parse_args([]))))
+        assert set(defaults) == set(pinned), command
+        found = {
+            a.dest: (a.option_strings, a.type, a.nargs, a.choices and list(a.choices), defaults[a.dest])
+            for a in parser._actions if a.dest not in ("help", "config")
+        }
+        assert found == pinned, command
+
+
+def test_manifest_config_reruns_as_config_file(tmp_path, monkeypatch):
+    _write_fit_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "fit", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
+        "--starts", "2", "--max-iters", "30", "--out", "a",
+    ]) == 0
+    config = _manifest(tmp_path / "a")["config"]
+    assert config["weights"] is None
+    (tmp_path / "conf.json").write_text(json.dumps(config))
+    assert main(["fit", "--config", "conf.json", "--out", "b"]) == 0
+    for path in sorted((tmp_path / "a").iterdir()):
+        if path.name != "manifest.json":
+            assert _digest(path) == _digest(tmp_path / "b" / path.name), path.name
+    assert _manifest(tmp_path / "b")["config"] == {**config, "out": "b"}
+
+
+# (case id, argv, config file, key, message); each must stop before any input
+# is read or any output is written.
+BAD_CONFIGS = [
+    ("int from string", ["fit"], {"skills": "abc"}, "skills", 'must be an integer, got "abc"'),
+    ("int from float", ["fit"], {"skills": 3.7}, "skills", "must be an integer, got 3.7"),
+    ("int from bool", ["sweep"], {"max_iters": True}, "max_iters", "must be an integer, got true"),
+    ("int from string (simulate)", ["simulate"], {"repeats": "x"}, "repeats", "must be an integer"),
+    ("number from null", ["fit"], {"epsilon": None}, "epsilon", "must be a number, got null"),
+    ("number from string", ["fit"], {"q_weight": "1"}, "q_weight", 'must be a number, got "1"'),
+    ("number from bool", ["diagnose"], {"threshold": False}, "threshold", "must be a number"),
+    ("number too large for a float", ["fit"], {"tol": 10**400}, "tol", "must be a number"),
+    ("pair from scalar", ["simulate"], {"gamma_item": 5}, "gamma_item",
+     "must be a list of two numbers, got 5"),
+    ("pair of three", ["simulate"], {"gamma_concept": [1, 2, 3]}, "gamma_concept",
+     "must be a list of two numbers"),
+    ("pair with a string", ["simulate"], {"gamma_model": [1, "2"]}, "gamma_model",
+     "must be a list of two numbers"),
+    ("string from list", ["sweep"], {"skills_grid": [4, 8]}, "skills_grid",
+     "must be a string, got [4, 8]"),
+    ("path from number", ["fit"], {"weights": 3}, "weights", "must be a string, got 3"),
+    ("q_mode", ["simulate"], {"q_mode": "bogus"}, "q_mode",
+     "must be one of ['threshold', 'bernoulli']"),
+    ("response_mode", ["simulate"], {"response_mode": "bogus"}, "response_mode",
+     "must be one of ['mean', 'bernoulli']"),
+    ("init", ["fit"], {"init": "zeros"}, "init", "must be one of ['gamma_prior', 'uniform']"),
+    ("normalization", ["fit"], {"normalization": "bogus"}, "normalization",
+     "must be one of ['clip', 'minmax_global', 'minmax_per_concept'], got \"bogus\""),
+    ("distance", ["agreement"], {"distance": "cosine"}, "distance",
+     "must be one of ['nominal', 'jaccard']"),
+]
+INPUT_FLAGS = {
+    "fit": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
+            "--starts", "1", "--max-iters", "5"],
+    "sweep": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2",
+              "--max-iters", "5"],
+    "simulate": ["--items", "6", "--models", "3", "--concepts", "4", "--skills", "2"],
+    "diagnose": ["--mastery", "missing.json"],
+    "agreement": ["--annotations", "ann.csv"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, config, key, message",
+    [pytest.param(*case[1:], id=case[0]) for case in BAD_CONFIGS],
+)
+def test_malformed_config_table(tmp_path, monkeypatch, capsys, argv, config, key, message):
+    _write_fit_inputs(tmp_path)
+    (tmp_path / "ann.csv").write_text("unit,c1,c2\nu0,a,a\nu1,a,b\n")
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
+    command = argv[0]
+    assert main([*argv, *INPUT_FLAGS[command], "--config", "bad.json", "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"bad.json: {key} {message}" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +631,11 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_sweep_requires_scores_and_qmatrix(capsys):
+    assert main(["sweep", "--scores", "s.csv"]) == 2
+    assert "error: sweep requires --scores and --qmatrix" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag, grid, token",
     [("--skills-grid", "1,x", "'x'"), ("--q-weight-grid", "1.0,heavy", "'heavy'")],
@@ -562,6 +733,12 @@ MALFORMED = [
      _load_scores, FormatError, FIT_ARGV, 2, "scores.csv", "duplicate column id 'm0'"),
     ("empty file", _write("scores.csv", ""), _load_scores,
      FormatError, FIT_ARGV, 2, "scores.csv", "empty matrix file"),
+    ("header-only scores", _edit_lines(lambda ls: ls[:1], "scores.csv", "weights.csv"),
+     lambda root: _load_fit_inputs({
+         "scores": root / "scores.csv", "weights": root / "weights.csv",
+         "qmatrix": root / "qmatrix.csv",
+     }, "fit"),
+     FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
     ("mastery missing a field", _edit_mastery(lambda p: p.pop("model_ids")),
      lambda root: load_mastery(root / "mastery.json"),
      ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "missing field 'model_ids'"),

@@ -168,7 +168,7 @@ def test_header_only_matrix_loads_empty(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values, row_ids, col_ids = load_matrix_csv(path)
-    assert values.size == 0 and row_ids == () and col_ids == ("a",)
+    assert values.shape == (0, 1) and row_ids == () and col_ids == ("a",)
 
 
 # Ids that must survive the CSV round trip: the delimiter, the quote, the
