@@ -3,7 +3,8 @@
 Estimates per-model, per-concept mastery from concept-tagged question banks
 and graded responses via weighted non-negative co-factorization, with a
 generative simulator for planted-truth validation, a classical enumeration
-oracle, reconstruction/agreement metrics, and a reporting CLI.
+oracle, reconstruction/agreement metrics, and a reporting CLI.  Caveats such
+as an undefined AUC or clamped parameters are logged under ``cdmkit``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .grading import choice_letter_rule, extract_choice, get_rule, grade, register_rule
 from .heatmap import HeatmapGrid, cell_color, grid_from_mastery, render_svg, save_heatmap_csv
-from .manifest import RunManifest, load_manifest, sha256_file, write_manifest
+from .manifest import RunManifest, sha256_file, write_json, write_manifest
 from .metrics import (
     AgreementReport,
     ClusterResult,

@@ -16,6 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
+from .manifest import write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -182,8 +183,8 @@ def _load_bank_json(path: Path) -> ItemBank:
     return ItemBank(items=items, catalog=catalog)
 
 
-def _load_bank_csv(path: Path, concepts_path: str | Path | None = None) -> ItemBank:
-    cpath = Path(concepts_path) if concepts_path else path.parent / "concepts.csv"
+def _load_bank_csv(path: Path) -> ItemBank:
+    cpath = path.parent / "concepts.csv"
     if not cpath.exists():
         raise FormatError(f"missing companion concepts file {cpath}")
     concepts = []
@@ -237,7 +238,7 @@ def save_item_bank(bank: ItemBank, path: str | Path, format: str | None = None) 
                 for item in bank.items
             ],
         }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_json(path, payload)
         return
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:

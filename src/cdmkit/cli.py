@@ -8,14 +8,19 @@ differ between reruns.  Option precedence: command-line flags beat the
 echoed into the manifest.  Each subcommand declares its options once, in a
 table of :class:`Option` rows, and every value is checked against its row
 before any input is read.
+Every warning is logged under ``cdmkit``; :func:`main` writes a successful
+command's records to ``<out>/warnings.log``, then the manifest, and prints a
+failed command's records to stderr before the error.
 """
 
 from __future__ import annotations
 
 import argparse
 import glob as globmod
+import io
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +36,7 @@ from .errors import (
 )
 from .grading import DEFAULT_RULE_NAME, get_rule
 from .heatmap import grid_from_mastery, render_svg, save_heatmap_csv
-from .manifest import write_manifest
+from .manifest import write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -64,6 +69,8 @@ from .solver import (
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
+
+log = logging.getLogger(__name__)
 
 _KIND_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of two numbers"}
 
@@ -99,10 +106,11 @@ class Option:
     def check(self, value: object, source: str) -> object:
         """``value`` as this option's type, or a FormatError naming ``source``.
 
-        Booleans are not numbers; ``None`` is accepted only where it is the default.
+        Booleans are not numbers, numbers must be finite; ``None`` only where it is the default.
         """
         if value is None and self.default is None:
             return None
+        numbers = value if self.kind is tuple else (value,)
         if self.kind is tuple:
             ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
         elif self.kind is float:
@@ -114,6 +122,8 @@ class Option:
             raise FormatError(
                 f"{source}: {self.key} must be {expected}, got {json.dumps(value)}"
             )
+        if self.kind in (float, tuple) and not all(map(math.isfinite, numbers)):
+            raise FormatError(f"{source}: {self.key} must be finite, got {json.dumps(value)}")
         return tuple(map(float, value)) if self.kind is tuple else self.kind(value)
 
 
@@ -157,10 +167,6 @@ def _out_dir(effective: dict) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -179,14 +185,13 @@ SIMULATE_OPTIONS = (
 )
 
 
-def cmd_simulate(eff: dict) -> int:
+def cmd_simulate(eff: dict) -> tuple[list[str], int | None]:
     config = SimConfig(**_fields(SIMULATE_OPTIONS, eff))
     out = _out_dir(eff)
     sim = simulate(config)
     save_sim_output(sim, out)
-    write_manifest(out, "simulate", eff, inputs=[], seed=config.seed)
     print(f"simulated {config.n_items}x{config.n_models} world -> {out}")
-    return 0
+    return [], config.seed
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +207,7 @@ GRADE_OPTIONS = (
 )
 
 
-def cmd_grade(eff: dict) -> int:
+def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     if not eff["bank"] or not eff["logs"]:
         raise ValidationError("grade requires --bank and --logs")
     try:
@@ -217,28 +222,10 @@ def cmd_grade(eff: dict) -> int:
     for path in log_paths:
         logs.extend(load_response_logs(path))
     out = _out_dir(eff)
-
-    # Capture grading warnings into a deterministic sidecar log.
-    records: list[str] = []
-    handler = logging.Handler()
-    handler.emit = lambda rec: records.append(rec.getMessage())  # type: ignore[method-assign]
-    grading_logger = logging.getLogger("cdmkit.grading")
-    grading_logger.addHandler(handler)
-    try:
-        matrix = aggregate(logs, bank, rule=rule, repeats=eff["repeats"])
-    finally:
-        grading_logger.removeHandler(handler)
-
+    matrix = aggregate(logs, bank, rule=rule, repeats=eff["repeats"])
     save_response_matrix(matrix, out / "scores.csv", out / "weights.csv")
-    (out / "warnings.log").write_text(
-        "".join(line + "\n" for line in records), encoding="utf-8"
-    )
-    write_manifest(out, "grade", eff, inputs=[eff["bank"], *log_paths], seed=None)
-    print(
-        f"graded {len(matrix.item_ids)} items x {len(matrix.model_ids)} models "
-        f"({len(records)} warnings) -> {out}"
-    )
-    return 0
+    print(f"graded {len(matrix.item_ids)} items x {len(matrix.model_ids)} models -> {out}")
+    return [eff["bank"], *log_paths], None
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def _load_fit_inputs(eff: dict, command: str):
     return matrix, qmat, concept_ids, inputs
 
 
-def cmd_fit(eff: dict) -> int:
+def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     config = McfConfig(**_fields(FIT_OPTIONS, eff))
     matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
     result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
@@ -301,19 +288,18 @@ def cmd_fit(eff: dict) -> int:
         predicted.values, matrix.scores, matrix.weights,
         binarize_threshold=eff["binarize_threshold"],
     )
-    _write_json(out / "reconstruction.json", report.to_dict())
+    write_json(out / "reconstruction.json", report.to_dict())
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,objective\n")
         for i, value in enumerate(result.objective_trace):
             fh.write(f"{i},{repr(value)}\n")
     save_fit_bundle(result, config, out / "fit.json")
-    write_manifest(out, "fit", eff, inputs=inputs, seed=config.seed)
     auc_text = "absent" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"fit seed={result.seed} objective={result.objective:.6g} "
         f"converged={result.converged} auc={auc_text} rmse={report.rmse:.4f} -> {out}"
     )
-    return 0
+    return inputs, config.seed
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +314,7 @@ DIAGNOSE_OPTIONS = (
 )
 
 
-def cmd_diagnose(eff: dict) -> int:
+def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     if not eff["mastery"]:
         raise ValidationError("diagnose requires --mastery (a mastery.json bundle)")
     mm = load_mastery(eff["mastery"])
@@ -349,11 +335,11 @@ def cmd_diagnose(eff: dict) -> int:
 
     n_clusters = eff["clusters"]
     if mm.n_models < 2:
-        print("clustering skipped: need at least 2 models")
-        _write_json(out / "clusters.json", {"skipped": "need at least 2 models"})
+        log.warning("clustering skipped: need at least 2 models")
+        write_json(out / "clusters.json", {"skipped": "need at least 2 models"})
     else:
         clusters = cluster_models(mm, n_clusters=n_clusters)
-        _write_json(
+        write_json(
             out / "clusters.json",
             {
                 "n_clusters": n_clusters,
@@ -362,9 +348,8 @@ def cmd_diagnose(eff: dict) -> int:
                 "excluded": list(clusters.excluded),
             },
         )
-    write_manifest(out, "diagnose", eff, inputs=[eff["mastery"]], seed=None)
     print(f"diagnosed {mm.n_models} models over {mm.n_concepts} concepts -> {out}")
-    return 0
+    return [eff["mastery"]], None
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +393,13 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
     return table
 
 
-def cmd_agreement(eff: dict) -> int:
+def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
     if not eff["annotations"]:
         raise ValidationError("agreement requires --annotations")
     table = _load_annotations(eff["annotations"], eff["distance"])
     report = krippendorff_alpha(table, distance=eff["distance"])
     out = _out_dir(eff)
-    _write_json(
+    write_json(
         out / "agreement.json",
         {
             "krippendorff_alpha": report.krippendorff_alpha,
@@ -423,9 +408,8 @@ def cmd_agreement(eff: dict) -> int:
             "distance": report.distance,
         },
     )
-    write_manifest(out, "agreement", eff, inputs=[eff["annotations"]], seed=None)
     print(f"alpha={report.krippendorff_alpha:.4f} over {report.n_units} units -> {out}")
-    return 0
+    return [eff["annotations"]], None
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +440,7 @@ def _parse_grid(text: str, flag: str, kind: type) -> list:
     return values
 
 
-def cmd_sweep(eff: dict) -> int:
+def cmd_sweep(eff: dict) -> tuple[list[str], int | None]:
     skills_grid = _parse_grid(eff["skills_grid"], "--skills-grid", int)
     q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", float)
     if not skills_grid or not q_weight_grid:
@@ -479,9 +463,8 @@ def cmd_sweep(eff: dict) -> int:
                 f"{repr(report.accuracy)},{auc_text},{repr(report.rmse)}"
             )
     (out / "sweep.csv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    write_manifest(out, "sweep", eff, inputs=inputs, seed=eff["seed"])
     print(f"swept {len(skills_grid)}x{len(q_weight_grid)} grid -> {out}")
-    return 0
+    return inputs, eff["seed"]
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +503,28 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The default format is the bare message, so each record is one line.
+    records = logging.StreamHandler(io.StringIO())
+    logging.getLogger("cdmkit").addHandler(records)
     try:
-        return int(args.func(_effective(args)))
+        eff = _effective(args)
+        inputs, seed = args.func(eff)
+        log_path = Path(eff["out"]) / "warnings.log"
+        log_path.write_text(records.stream.getvalue(), encoding="utf-8")
+        write_manifest(eff["out"], args.command, eff, inputs=inputs, seed=seed)
     except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        code, error = USAGE_ERROR, exc
     except (NumericalError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return RUNTIME_ERROR
+        code, error = RUNTIME_ERROR, exc
+    else:
+        n_records = len(records.stream.getvalue().splitlines())
+        if n_records:
+            print(f"{n_records} warnings -> {log_path}", file=sys.stderr)
+        return 0
+    finally:
+        logging.getLogger("cdmkit").removeHandler(records)
+    print(f"{records.stream.getvalue()}error: {error}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

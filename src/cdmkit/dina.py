@@ -10,13 +10,15 @@ on the factorization pipeline: no shared code, no shared approximations.
 from __future__ import annotations
 
 import itertools
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericalError, ValidationError
+
+log = logging.getLogger(__name__)
 
 MAX_CONCEPTS = 16
 PARAM_FLOOR = 0.001
@@ -246,9 +248,7 @@ def em_fit(
         params = DinaParams(slip, guess)
         iterations = it + 1
     if clamped:
-        warnings.warn(
-            f"slip/guess clamped for degenerate item(s) {sorted(clamped)}"
-        )
+        log.warning("slip/guess clamped for degenerate item(s) %s", sorted(clamped))
     post = _posterior_from_loglik(_loglik(responses, gate, params))
     return EmFitResult(
         params=params,

@@ -1,9 +1,9 @@
 """Run manifests: what ran, on which inputs, with which effective config.
 
-Every CLI command writes exactly one ``manifest.json`` into its output
+Every successful CLI command writes one ``manifest.json`` into its output
 directory.  Input files are recorded by content digest so a rerun can be
 checked for identity; the timestamp is the only field allowed to differ
-between identical reruns.
+between identical reruns.  :func:`write_json` writes every JSON file.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from pathlib import Path
 from . import __version__
 
 MANIFEST_NAME = "manifest.json"
+
+
+def write_json(path: str | Path, payload: object) -> None:
+    """``payload`` as indented, key-sorted JSON with a trailing newline."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def sha256_file(path: str | Path) -> str:
@@ -54,12 +59,5 @@ def write_manifest(
         command=command, config=config, input_digests=digests, seed=seed
     )
     path = Path(out_dir) / MANIFEST_NAME
-    path.write_text(
-        json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, manifest.to_dict())
     return path
-
-
-def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

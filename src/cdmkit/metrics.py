@@ -8,8 +8,8 @@ equivalence a checkable property anywhere.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -18,6 +18,8 @@ from numpy.typing import NDArray
 
 from .errors import DegenerateDataError, DimensionError, ValidationError
 from .solver import MasteryMatrix
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +104,7 @@ def reconstruction_metrics(
     accuracy = float((pred_labels == labels).mean())
     rmse = float(np.sqrt(((pred - obs) ** 2).mean()))
     if labels.min() == labels.max():
-        warnings.warn("AUC undefined: all labels identical; reporting absent")
+        log.warning("AUC undefined: all labels identical; reporting absent")
         auc = None
     else:
         auc = auc_mann_whitney(pred, labels)
@@ -283,11 +285,12 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     ``n_clusters`` clusters, the ones left after the tree's first
     ``n - n_clusters`` merges, labelled 0.. in order of each cluster's first
     row.  Deterministic; merges of equal height come in scipy's order.
-    All-zero rows have no direction and are excluded with a warning
+    All-zero rows have no direction and are excluded with a logged warning
     (labelled -1).  The merge list is the full dendrogram in scipy-style ids
     (the n clustered rows 0..n-1, then one new id per merge).
     """
     from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import pdist
 
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
@@ -295,7 +298,7 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     keep = [i for i in range(rows.shape[0]) if np.any(rows[i] != 0)]
     excluded = tuple(mastery.model_ids[i] for i in range(rows.shape[0]) if i not in keep)
     if excluded:
-        warnings.warn(f"excluding all-zero mastery rows: {excluded}")
+        log.warning("excluding all-zero mastery rows: %s", excluded)
     if len(keep) < 2:
         raise ValidationError("need at least 2 non-zero mastery rows to cluster")
     if n_clusters > len(keep):
@@ -307,7 +310,8 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     # keeps the norm of a row of tiny (e.g. subnormal) entries from
     # underflowing to 0, which would make its distances non-finite.
     kept = rows[keep]
-    tree = linkage(kept / kept.max(axis=1, keepdims=True), method="average", metric="cosine")
+    # Condensed distances: linkage warns on square symmetric observations.
+    tree = linkage(pdist(kept / kept.max(axis=1, keepdims=True), "cosine"), method="average")
     # Replay the merges up to the cut.  scipy's cut_tree re-sorts merges of
     # equal height, so its clusters can disagree with the merge list, and
     # fcluster(criterion="maxclust") can return fewer clusters than asked.

@@ -17,7 +17,8 @@ meaningful test.
 
 from __future__ import annotations
 
-import warnings
+import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from numpy.typing import NDArray
 
 from .errors import DegenerateDataError, ValidationError
 from .solver import FactorSet, MasteryMatrix, _default_ids
+
+log = logging.getLogger(__name__)
 
 DEFAULT_GAMMA_ITEM = (0.4, 1.0 / 3.0)
 DEFAULT_GAMMA_MODEL = (8.0, 10.0)
@@ -59,9 +62,8 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         for name in ("gamma_item", "gamma_model", "gamma_concept"):
-            shape, rate = getattr(self, name)
-            if shape <= 0 or rate <= 0:
-                raise ValidationError(f"{name} shape/rate must be > 0")
+            if not all(0 < x < math.inf for x in getattr(self, name)):
+                raise ValidationError(f"{name} must be finite and > 0 (shape and rate)")
         if self.q_mode not in Q_MODES:
             raise ValidationError(f"unknown q_mode {self.q_mode!r}")
         if not 0.0 < self.q_threshold < 1.0:
@@ -178,7 +180,7 @@ def recovery_score(fitted: MasteryMatrix, truth: SimOutput) -> RecoveryScore:
 
     A model whose fitted or planted row is constant has no defined rank
     correlation; it is reported as NaN and excluded from the mean (with a
-    warning).
+    logged warning).
     """
     from scipy.stats import spearmanr
 
@@ -195,7 +197,7 @@ def recovery_score(fitted: MasteryMatrix, truth: SimOutput) -> RecoveryScore:
         rho[j] = spearmanr(a, b).statistic
     n_excluded = int(np.isnan(rho).sum())
     if n_excluded:
-        warnings.warn(f"{n_excluded} model row(s) had undefined rank correlation")
+        log.warning("%d model row(s) had undefined rank correlation", n_excluded)
     if n_excluded == n_models:
         raise DegenerateDataError("no model row has a defined rank correlation")
     return RecoveryScore(
@@ -215,9 +217,8 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     Emits a stub item bank (synthetic ids/prompts), scores + weights CSVs,
     the tag matrix CSV, and truth.json with factors and probabilities.
     """
-    import json
-
     from .bank import Concept, ConceptCatalog, Item, ItemBank, save_item_bank
+    from .manifest import write_json
     from .responses import save_matrix_csv
 
     out_dir = Path(out_dir)
@@ -262,7 +263,5 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
         "p_mastery": sim.p_mastery.tolist(),
     }
     paths["truth"] = out_dir / "truth.json"
-    paths["truth"].write_text(
-        json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(paths["truth"], truth)
     return paths

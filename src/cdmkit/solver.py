@@ -37,8 +37,8 @@ gradient check compares the kernel against an independent formula.
 from __future__ import annotations
 
 import json
+import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +46,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
+from .manifest import write_json
 from .responses import load_matrix_csv, save_matrix_csv
+
+log = logging.getLogger(__name__)
 
 NORMALIZATIONS = ("clip", "minmax_global", "minmax_per_concept")
 INITS = ("gamma_prior", "uniform")
@@ -79,16 +82,14 @@ class McfConfig:
                 raise ValidationError(f"{name} must be finite and >= 0")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be >= 0")
-        if not self.tol > 0:
-            raise ValidationError("tol must be > 0")
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be > 0")
+        for name in ("tol", "epsilon"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and > 0")
         if self.init not in INITS:
             raise ValidationError(f"unknown init mode {self.init!r}")
         for name in ("init_gamma_item", "init_gamma_model", "init_gamma_concept"):
-            shape, rate = getattr(self, name)
-            if shape <= 0 or rate <= 0:
-                raise ValidationError(f"{name} shape/rate must be > 0")
+            if not all(0 < x < math.inf for x in getattr(self, name)):
+                raise ValidationError(f"{name} must be finite and > 0 (shape and rate)")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -436,7 +437,7 @@ def mastery(
     elif normalization == "minmax_global":
         lo, hi = float(raw.min()), float(raw.max())
         if hi - lo <= 0:
-            warnings.warn("constant mastery matrix; minmax maps all entries to 0")
+            log.warning("constant mastery matrix; minmax maps all entries to 0")
             prob = np.zeros_like(raw)
         else:
             prob = (raw - lo) / (hi - lo)
@@ -446,9 +447,7 @@ def mastery(
             col = raw[:, k]
             lo, hi = float(col.min()), float(col.max())
             if hi - lo <= 0:
-                warnings.warn(
-                    f"constant mastery column {k}; minmax maps it to 0"
-                )
+                log.warning("constant mastery column %d; minmax maps it to 0", k)
             else:
                 prob[:, k] = (col - lo) / (hi - lo)
     n_models, n_concepts = raw.shape
@@ -511,7 +510,7 @@ def save_fit_bundle(
         "objective_trace": list(result.objective_trace),
         "clipped_prediction_cells": predicted.n_clipped,
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, payload)
 
 
 def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
@@ -530,7 +529,7 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
         "raw": [[float(x) for x in row] for row in m.raw],
         "prob": [[float(x) for x in row] for row in m.prob],
     }
-    bundle.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(bundle, payload)
     return [raw_path, prob_path, bundle]
 
 

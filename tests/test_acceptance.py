@@ -220,7 +220,6 @@ def test_gate_05_auc_oracle_equivalence():
 # Gate 6: conjunctive-gate EM parameter and profile recovery
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:slip/guess clamped")
 def test_gate_06_conjunctive_em_recovery():
     n_reps = 100
     slip_err = np.zeros((n_reps, 30))

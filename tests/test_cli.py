@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -16,7 +17,8 @@ from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_pa
 from cdmkit.errors import FormatError, ValidationError
 from cdmkit.metrics import concept_counts
 from cdmkit.responses import load_matrix_csv, load_response_matrix, save_matrix_csv
-from cdmkit.solver import MasteryMatrix, load_mastery, save_mastery
+from cdmkit.simulate import SimConfig
+from cdmkit.solver import MasteryMatrix, McfConfig, load_mastery, save_mastery
 
 SIM_ARGS = [
     "simulate", "--items", "12", "--models", "5", "--concepts", "6",
@@ -25,7 +27,7 @@ SIM_ARGS = [
 
 SIM_FILES = {
     "bank.json", "scores.csv", "weights.csv", "qmatrix.csv", "truth.json",
-    "manifest.json",
+    "warnings.log", "manifest.json",
 }
 
 
@@ -255,6 +257,13 @@ BAD_CONFIGS = [
      "must be one of ['clip', 'minmax_global', 'minmax_per_concept'], got \"bogus\""),
     ("distance", ["agreement"], {"distance": "cosine"}, "distance",
      "must be one of ['nominal', 'jaccard']"),
+    ("NaN number", ["fit"], {"binarize_threshold": math.nan}, "binarize_threshold",
+     "must be finite, got NaN"),
+    ("infinite number", ["fit"], {"epsilon": math.inf}, "epsilon", "must be finite, got Infinity"),
+    ("infinite number (sweep)", ["sweep"], {"tol": -math.inf}, "tol",
+     "must be finite, got -Infinity"),
+    ("pair with an infinity", ["simulate"], {"gamma_model": [1, math.inf]}, "gamma_model",
+     "must be finite, got [1, Infinity]"),
 ]
 INPUT_FLAGS = {
     "fit": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
@@ -397,7 +406,7 @@ def test_grade_requires_both_paths(capsys):
 FIT_FILES = {
     "factor_item_skill.csv", "factor_skill_model.csv", "factor_skill_concept.csv",
     "mastery_raw.csv", "mastery_prob.csv", "mastery.json",
-    "reconstruction.json", "trace.csv", "fit.json", "manifest.json",
+    "reconstruction.json", "trace.csv", "fit.json", "warnings.log", "manifest.json",
 }
 
 
@@ -510,7 +519,7 @@ def test_diagnose_happy_path(fitted_world, monkeypatch):
     out = fitted_world / "d"
     assert {p.name for p in out.iterdir()} == {
         "concept_counts.csv", "concept_counts.txt", "heatmap.csv", "heatmap.svg",
-        "clusters.json", "manifest.json",
+        "clusters.json", "warnings.log", "manifest.json",
     }
     counts = (out / "concept_counts.csv").read_text().splitlines()
     assert counts[0] == "model_id,mastered_count,total,mean_score"
@@ -548,7 +557,7 @@ def test_diagnose_single_model_skips_clustering(tmp_path, monkeypatch, capsys):
         "--skills", "2", "--starts", "1", "--max-iters", "50", "--out", "f1",
     ]) == 0
     assert main(["diagnose", "--mastery", "f1/mastery.json", "--out", "d1"]) == 0
-    assert "skipped" in capsys.readouterr().out
+    assert "skipped" in (tmp_path / "d1" / "warnings.log").read_text()
     clusters = json.loads((tmp_path / "d1" / "clusters.json").read_text())
     assert "skipped" in clusters
 
@@ -756,6 +765,13 @@ MALFORMED = [
      lambda root: load_item_bank(root / "items.csv"),
      FormatError, ["grade", "--bank", "items.csv", "--logs", "*.jsonl", "--out", "g"], 2,
      "concepts.csv", "concepts.csv:3: concept row ['c1'] needs id and label"),
+    ("infinite epsilon flag", lambda root: None, lambda root: McfConfig(epsilon=math.inf),
+     ValidationError, FIT_ARGV + ["--epsilon", "inf"], 2, "command line",
+     "epsilon must be finite"),
+    ("NaN gamma flag", lambda root: None,
+     lambda root: SimConfig(6, 3, 4, 2, gamma_item=(math.nan, 1.0)),
+     ValidationError, ["simulate", "--gamma-item", "nan", "1", "--out", "s"], 2, "command line",
+     "gamma_item must be finite"),
 ]
 
 
@@ -779,3 +795,94 @@ def test_malformed_input_table(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and named in err
+
+
+# ---------------------------------------------------------------------------
+# warnings.log: every diagnostic the CLI can reach, through one channel
+# ---------------------------------------------------------------------------
+
+def _constant_scores(root):
+    _write_fit_inputs(root)
+    scores, items, models = load_matrix_csv(root / "scores.csv")
+    save_matrix_csv(np.ones_like(scores), items, models, root / "scores.csv", corner="item_id")
+
+
+def _mastery_rows(prob):
+    def setup(root):
+        prob_ = np.array(prob)
+        model_ids = tuple(f"m{j}" for j in range(len(prob_)))
+        concept_ids = tuple(f"c{k}" for k in range(prob_.shape[1]))
+        save_mastery(MasteryMatrix(prob_, prob_, "clip", model_ids, concept_ids), root)
+    return setup
+
+
+def _graded_logs(root):
+    bank = {
+        "format_version": 1,
+        "concepts": [{"id": "c1", "label": "loops"}],
+        "items": [
+            {"id": "q1", "prompt": "p1", "answer_key": "A", "concepts": ["c1"]},
+            {"id": "q2", "prompt": "p2", "answer_key": "yes", "concepts": ["c1"]},
+        ],
+    }
+    (root / "bank.json").write_text(json.dumps(bank))
+    attempts = [
+        {"model": "gpt", "item": "q1", "attempt": 0, "output": "I am not sure."},
+        {"model": "gpt", "item": "q2", "attempt": 0, "output": "A"},
+        {"model": "gpt", "item": "q1", "attempt": 1, "output": "(A)"},
+    ]
+    (root / "log.jsonl").write_text("".join(json.dumps(a) + "\n" for a in attempts))
+
+
+FIT_QUIET = ["--qmatrix", "qmatrix.csv", "--skills", "2", "--starts", "1", "--max-iters", "20"]
+
+# (case id, setup, argv without --out, the lines warnings.log must hold)
+WARNING_CASES = [
+    ("fit: all labels identical", _constant_scores,
+     ["fit", "--scores", "scores.csv", *FIT_QUIET],
+     ["AUC undefined: all labels identical; reporting absent"]),
+    ("fit: constant mastery columns", lambda root: _write_fit_inputs(root, n_models=1),
+     ["fit", "--scores", "scores.csv", *FIT_QUIET, "--normalization", "minmax_per_concept"],
+     [f"constant mastery column {k}; minmax maps it to 0" for k in range(4)]),
+    ("diagnose: all-zero mastery row", _mastery_rows([[0, 0], [0.2, 0.9], [0.8, 0.1]]),
+     ["diagnose", "--mastery", "mastery.json"],
+     ["excluding all-zero mastery rows: ('m0',)"]),
+    ("diagnose: one model", _mastery_rows([[0.2, 0.9]]),
+     ["diagnose", "--mastery", "mastery.json"],
+     ["clustering skipped: need at least 2 models"]),
+    ("grade: unparseable output and a key without letters", _graded_logs,
+     ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--repeats", "2"],
+     ["could not extract a choice from output 'I am not sure.'; scoring 0",
+      "answer key 'YES' contains no choice letters; scoring 0"]),
+    ("agreement: none", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu1,a,b\n"),
+     ["agreement", "--annotations", "ann.csv"], []),
+]
+
+
+@pytest.mark.parametrize(
+    "setup, argv, lines", [pytest.param(*case[1:], id=case[0]) for case in WARNING_CASES]
+)
+def test_warnings_log_table(tmp_path, monkeypatch, capsys, setup, argv, lines):
+    setup(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    logs = []
+    for out in ("run1", "run2"):  # a second run in the same process logs the same lines
+        assert main([*argv, "--out", out]) == 0
+        err = capsys.readouterr().err
+        assert "UserWarning" not in err and ".py" not in err
+        assert err == (f"{len(lines)} warnings -> {out}/warnings.log\n" if lines else "")
+        logs.append((tmp_path / out / "warnings.log").read_bytes())
+    assert logs[0].decode() == "".join(line + "\n" for line in lines)
+    assert logs[1] == logs[0]
+
+
+def test_failed_command_prints_records_and_writes_no_log(tmp_path, monkeypatch, capsys):
+    _mastery_rows([[0, 0], [0.2, 0.9], [0.8, 0.1]])(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["diagnose", "--mastery", "mastery.json", "--clusters", "3", "--out", "d"]) == 2
+    assert capsys.readouterr().err == (
+        "excluding all-zero mastery rows: ('m0',)\n"
+        "error: n_clusters=3 exceeds the 2 clusterable rows\n"
+    )
+    assert not (tmp_path / "d" / "warnings.log").exists()
+    assert not (tmp_path / "d" / "manifest.json").exists()

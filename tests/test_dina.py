@@ -101,7 +101,6 @@ def test_non_binary_responses_rejected():
 # EM
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:slip/guess clamped")
 def test_em_recovers_parameters_roughly():
     # Single replication, so the bound is looser than the averaged acceptance
     # run: one seed can land an item parameter ~0.1 off its truth.
@@ -113,7 +112,6 @@ def test_em_recovers_parameters_roughly():
     assert res.converged
 
 
-@pytest.mark.filterwarnings("ignore:slip/guess clamped")
 def test_em_loglik_non_decreasing():
     X, _, Q = simulate_dina(3, 25, 60, slip=0.2, guess=0.15, seed=5)
     res = em_fit(X, Q)
@@ -130,11 +128,11 @@ def test_em_zero_iters_keeps_initial_params():
     assert not res.converged
 
 
-def test_em_clamps_degenerate_item_with_warning():
+def test_em_clamps_degenerate_item_with_warning(caplog):
     X, _, Q = simulate_dina(2, 8, 30, slip=0.1, guess=0.1, seed=3)
     X[0] = 1.0  # every model answers item 0 correctly
-    with pytest.warns(UserWarning, match="clamped"):
-        res = em_fit(X, Q)
+    res = em_fit(X, Q)
+    assert caplog.messages == [f"slip/guess clamped for degenerate item(s) {list(res.clamped_items)}"]
     assert 0 in res.clamped_items
     assert np.all(res.params.slip + res.params.guess < 1.0)
 
@@ -144,7 +142,6 @@ def test_em_shape_mismatch():
         em_fit(np.ones((4, 3)), np.eye(2))
 
 
-@pytest.mark.filterwarnings("ignore:slip/guess clamped")
 def test_em_posteriors_normalized():
     X, _, Q = simulate_dina(3, 15, 20, slip=0.1, guess=0.1, seed=9)
     res = em_fit(X, Q)

@@ -118,10 +118,10 @@ def test_zero_weight_cells_are_ignored():
     assert rep.accuracy == 1.0
 
 
-def test_uniform_labels_report_absent_auc():
+def test_uniform_labels_report_absent_auc(caplog):
     observed = np.ones((2, 2))
-    with pytest.warns(UserWarning, match="AUC undefined"):
-        rep = reconstruction_metrics(np.full((2, 2), 0.8), observed)
+    rep = reconstruction_metrics(np.full((2, 2), 0.8), observed)
+    assert caplog.messages == ["AUC undefined: all labels identical; reporting absent"]
     assert rep.auc is None
     assert rep.accuracy == 1.0  # 0.8 binarizes to 1
 
@@ -289,23 +289,23 @@ def test_planted_archetypes_recovered():
     assert purity >= 0.9
 
 
-def test_all_zero_rows_excluded_with_warning():
+def test_all_zero_rows_excluded_with_warning(caplog):
     prob = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
-    with pytest.warns(UserWarning, match="all-zero"):
-        res = cluster_models(_mm(prob), n_clusters=2)
+    res = cluster_models(_mm(prob), n_clusters=2)
+    assert caplog.messages == ["excluding all-zero mastery rows: ('m0',)"]
     assert res.excluded == ("m0",)
     assert res.assignments["m0"] == -1
     assert {res.assignments["m1"], res.assignments["m2"]} == {0, 1}
 
 
-def test_cluster_validation():
+def test_cluster_validation(caplog):
     with pytest.raises(ValidationError, match="exceeds"):
         cluster_models(_mm(np.array([[0.5, 0.1], [0.1, 0.5]])), n_clusters=3)
     with pytest.raises(ValidationError, match="n_clusters"):
         cluster_models(_mm(np.array([[0.5, 0.1], [0.1, 0.5]])), n_clusters=0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValidationError, match="at least 2"):
-            cluster_models(_mm(np.array([[0.0, 0.0], [0.1, 0.5]])), n_clusters=1)
+    with pytest.raises(ValidationError, match="at least 2"):
+        cluster_models(_mm(np.array([[0.0, 0.0], [0.1, 0.5]])), n_clusters=1)
+    assert caplog.messages == ["excluding all-zero mastery rows: ('m0',)"]
 
 
 def test_cluster_labels_follow_row_order():
@@ -316,6 +316,15 @@ def test_cluster_labels_follow_row_order():
     assert res.assignments["m2"] == 0
     assert res.assignments["m1"] == 1
     assert res.assignments["m3"] == 1
+
+
+def test_square_symmetric_mastery_clusters_without_warning():
+    # A square, symmetric, zero-diagonal matrix is still a matrix of observations.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = cluster_models(_mm(np.array([[0.0, 1.0], [1.0, 0.0]])), n_clusters=1)
+    assert res.merges == ((0, 1, 1.0),)
+    assert res.assignments == {"m0": 0, "m1": 0}
 
 
 # Continuous values, values from a three-point grid (many equal distances),
@@ -349,9 +358,7 @@ def test_cluster_models_is_average_linkage(case):
     prob, n_clusters = case
     keep = np.flatnonzero(np.any(prob != 0, axis=1))
     assume(keep.size >= 2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the all-zero-row warning
-        res = cluster_models(_mm(prob), n_clusters=n_clusters)
+    res = cluster_models(_mm(prob), n_clusters=n_clusters)
     labels = np.array([res.assignments[f"m{j}"] for j in range(len(prob))])
     assert sorted(set(labels[keep])) == list(range(n_clusters))
     assert labels[keep[0]] == 0

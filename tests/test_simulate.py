@@ -137,23 +137,23 @@ def test_recovery_of_reversal_is_minus_one():
     np.testing.assert_allclose(rec.per_model, -1.0)
 
 
-def test_recovery_excludes_constant_rows_with_warning():
+def test_recovery_excludes_constant_rows_with_warning(caplog):
     sim = simulate(_small(seed=9))
     fitted = sim.p_mastery.copy()
     fitted[2] = 0.5
-    with pytest.warns(UserWarning, match="undefined rank correlation"):
-        rec = recovery_score(_as_mastery(fitted, sim), sim)
+    rec = recovery_score(_as_mastery(fitted, sim), sim)
+    assert caplog.messages == ["1 model row(s) had undefined rank correlation"]
     assert rec.n_excluded == 1
     assert np.isnan(rec.per_model[2])
     assert rec.overall == pytest.approx(1.0)
 
 
-def test_recovery_all_constant_is_degenerate():
+def test_recovery_all_constant_is_degenerate(caplog):
     sim = simulate(_small(seed=9))
     fitted = np.full_like(sim.p_mastery, 0.25)
-    with pytest.warns(UserWarning):
-        with pytest.raises(DegenerateDataError):
-            recovery_score(_as_mastery(fitted, sim), sim)
+    with pytest.raises(DegenerateDataError):
+        recovery_score(_as_mastery(fitted, sim), sim)
+    assert caplog.messages == [f"{len(fitted)} model row(s) had undefined rank correlation"]
 
 
 def test_recovery_shape_mismatch():

@@ -412,10 +412,10 @@ def test_mastery_minmax_per_concept():
     np.testing.assert_allclose(m.prob, np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
-def test_mastery_constant_minmax_warns_and_zeroes():
+def test_mastery_constant_minmax_warns_and_zeroes(caplog):
     f = FactorSet(np.ones((1, 1)), np.ones((1, 2)), np.ones((1, 2)))
-    with pytest.warns(UserWarning, match="constant"):
-        m = mastery(f, normalization="minmax_global")
+    m = mastery(f, normalization="minmax_global")
+    assert caplog.messages == ["constant mastery matrix; minmax maps all entries to 0"]
     np.testing.assert_array_equal(m.prob, np.zeros((2, 2)))
 
 
