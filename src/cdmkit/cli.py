@@ -318,36 +318,36 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     if not eff["mastery"]:
         raise ValidationError("diagnose requires --mastery (a mastery.json bundle)")
     mm = load_mastery(eff["mastery"])
-    out = _out_dir(eff)
-
+    # Everything that can fail runs before --out is touched, so a failed run
+    # leaves no partial outputs.
     report = concept_counts(mm, threshold=eff["threshold"])
+    table = render_concept_table(report)
+    grid = grid_from_mastery(mm)
+    svg = render_svg(grid)
+    n_clusters = eff["clusters"]
+    if mm.n_models < 2:
+        log.warning("clustering skipped: need at least 2 models")
+        clusters_doc: dict = {"skipped": "need at least 2 models"}
+    else:
+        clusters = cluster_models(mm, n_clusters=n_clusters)
+        clusters_doc = {
+            "n_clusters": n_clusters,
+            "assignments": clusters.assignments,
+            "merges": [[a, b, d] for a, b, d in clusters.merges],
+            "excluded": list(clusters.excluded),
+        }
+
+    out = _out_dir(eff)
     with open(out / "concept_counts.csv", "w", encoding="utf-8") as fh:
         fh.write("model_id,mastered_count,total,mean_score\n")
         for row in report.rows:
             fh.write(
                 f"{row.model_id},{row.mastered_count},{row.total},{repr(row.mean_score)}\n"
             )
-    (out / "concept_counts.txt").write_text(render_concept_table(report), encoding="utf-8")
-
-    grid = grid_from_mastery(mm)
+    (out / "concept_counts.txt").write_text(table, encoding="utf-8")
     save_heatmap_csv(grid, out / "heatmap.csv")
-    (out / "heatmap.svg").write_text(render_svg(grid), encoding="utf-8")
-
-    n_clusters = eff["clusters"]
-    if mm.n_models < 2:
-        log.warning("clustering skipped: need at least 2 models")
-        write_json(out / "clusters.json", {"skipped": "need at least 2 models"})
-    else:
-        clusters = cluster_models(mm, n_clusters=n_clusters)
-        write_json(
-            out / "clusters.json",
-            {
-                "n_clusters": n_clusters,
-                "assignments": clusters.assignments,
-                "merges": [[a, b, d] for a, b, d in clusters.merges],
-                "excluded": list(clusters.excluded),
-            },
-        )
+    (out / "heatmap.svg").write_text(svg, encoding="utf-8")
+    write_json(out / "clusters.json", clusters_doc)
     print(f"diagnosed {mm.n_models} models over {mm.n_concepts} concepts -> {out}")
     return [eff["mastery"]], None
 

@@ -200,8 +200,10 @@ def save_matrix_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([corner, *col_ids])
-        for rid, row in zip(row_ids, np.asarray(matrix)):
-            writer.writerow([rid, *[repr(float(v)) for v in row]])
+        # One row at a time as Python floats: repr needs them, and converting
+        # the whole matrix at once would hold every cell as an object.
+        for rid, row in zip(row_ids, np.asarray(matrix, dtype=np.float64)):
+            writer.writerow([rid, *map(repr, row.tolist())])
 
 
 def _first_duplicate(ids: tuple[str, ...]) -> str | None:

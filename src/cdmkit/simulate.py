@@ -17,6 +17,7 @@ meaningful test.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -36,6 +37,10 @@ DEFAULT_GAMMA_CONCEPT = (0.2, 0.16)
 Q_MODES = ("threshold", "bernoulli")
 RESPONSE_MODES = ("mean", "bernoulli")
 _MAX_RESAMPLES = 1000
+# Every pair of the four sizes spans a matrix the simulator allocates: the
+# three factors, the scores, the tags and the planted mastery.  1e8 float64
+# entries are 800 MB.
+MAX_MATRIX_ELEMENTS = 10**8
 
 
 def sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -44,6 +49,13 @@ def sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Sizes, priors and sampling modes of one planted world.
+
+    No matrix of the world may hold more than ``MAX_MATRIX_ELEMENTS`` entries,
+    so every product of two of the four sizes is bounded; a larger world is
+    rejected before anything is allocated.
+    """
+
     n_items: int
     n_models: int
     n_concepts: int
@@ -58,9 +70,16 @@ class SimConfig:
     repeats: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("n_items", "n_models", "n_concepts", "n_skills"):
+        sizes = ("n_items", "n_models", "n_concepts", "n_skills")
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        for a, b in itertools.combinations(sizes, 2):
+            if getattr(self, a) * getattr(self, b) > MAX_MATRIX_ELEMENTS:
+                raise ValidationError(
+                    f"{a} x {b} exceeds {MAX_MATRIX_ELEMENTS:,} elements, "
+                    "the most one simulated matrix may hold"
+                )
         for name in ("gamma_item", "gamma_model", "gamma_concept"):
             if not all(0 < x < math.inf for x in getattr(self, name)):
                 raise ValidationError(f"{name} must be finite and > 0 (shape and rate)")

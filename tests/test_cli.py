@@ -155,7 +155,7 @@ PINNED_OPTIONS = {
         "ridge_model": (["--ridge-model"], float, None, None, 0.01),
         "ridge_concept": (["--ridge-concept"], float, None, None, 0.01),
         "max_iters": (["--max-iters"], int, None, None, 2000),
-        "tol": (["--tol"], float, None, None, 1e-6),
+        "tol": (["--tol"], float, None, None, 1e-4),
         "epsilon": (["--epsilon"], float, None, None, 1e-12),
         "seed": (["--seed"], int, None, None, 0),
         "starts": (["--starts"], int, None, None, 8),
@@ -185,7 +185,7 @@ PINNED_OPTIONS = {
         "skills_grid": (["--skills-grid"], None, None, None, "4,8,16,32"),
         "q_weight_grid": (["--q-weight-grid"], None, None, None, "1.0"),
         "max_iters": (["--max-iters"], int, None, None, 2000),
-        "tol": (["--tol"], float, None, None, 1e-6),
+        "tol": (["--tol"], float, None, None, 1e-4),
         "seed": (["--seed"], int, None, None, 0),
         "starts": (["--starts"], int, None, None, 1),
         "out": (["--out"], None, None, None, "sweep_out"),
@@ -547,6 +547,8 @@ def test_diagnose_too_many_clusters(fitted_world, monkeypatch, capsys):
         "diagnose", "--mastery", "f/mastery.json", "--clusters", "40", "--out", "dx",
     ]) == 2
     assert "exceeds" in capsys.readouterr().err
+    # The clusters are checked before --out is created: no half run is left.
+    assert not (fitted_world / "dx").exists()
 
 
 def test_diagnose_single_model_skips_clustering(tmp_path, monkeypatch, capsys):
@@ -772,6 +774,14 @@ MALFORMED = [
      lambda root: SimConfig(6, 3, 4, 2, gamma_item=(math.nan, 1.0)),
      ValidationError, ["simulate", "--gamma-item", "nan", "1", "--out", "s"], 2, "command line",
      "gamma_item must be finite"),
+    # Rejected by SimConfig before any array is allocated.
+    ("oversized simulate flag", lambda root: None, lambda root: SimConfig(10**30, 3, 4, 2),
+     ValidationError, ["simulate", "--items", str(10**30), "--out", "s"], 2, "n_items",
+     "n_items x n_models exceeds 100,000,000 elements"),
+    ("oversized simulate config", _write("sim.json", json.dumps({"items": 10**30})),
+     lambda root: SimConfig(10**30, 3, 4, 2),
+     ValidationError, ["simulate", "--config", "sim.json", "--out", "s"], 2, "n_items",
+     "n_items x n_models exceeds 100,000,000 elements"),
 ]
 
 

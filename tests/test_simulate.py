@@ -12,7 +12,7 @@ from cdmkit import (
     save_sim_output,
     simulate,
 )
-from cdmkit.simulate import sigmoid
+from cdmkit.simulate import MAX_MATRIX_ELEMENTS, sigmoid
 
 
 def _small(seed=0, **overrides):
@@ -100,11 +100,19 @@ def test_threshold_resample_exhaustion_errors():
         {"response_mode": "median"},
         {"repeats": 0},
         {"gamma_model": (1.0, 0.0)},
+        {"n_items": 10**30},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValidationError):
         _small(**kwargs)
+
+
+def test_config_size_cap_is_inclusive():
+    # Only the config is built; nothing of that size is allocated.
+    SimConfig(n_items=MAX_MATRIX_ELEMENTS, n_models=1, n_concepts=1, n_skills=1)
+    with pytest.raises(ValidationError, match="n_items x n_models"):
+        SimConfig(n_items=MAX_MATRIX_ELEMENTS, n_models=2, n_concepts=1, n_skills=1)
 
 
 # ---------------------------------------------------------------------------
