@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .grading import choice_letter_rule, extract_choice, get_rule, grade, register_rule
-from .heatmap import HeatmapGrid, cell_color, grid_from_mastery, render_svg, save_heatmap_csv
+from .heatmap import cell_color, render_svg, save_heatmap_csv
 from .manifest import RunManifest, sha256_file, write_json, write_manifest
 from .metrics import (
     AgreementReport,

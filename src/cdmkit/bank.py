@@ -8,7 +8,6 @@ axes from here.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
-from .manifest import write_json
+from .manifest import open_text, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -153,12 +152,7 @@ def load_item_bank(path: str | Path, format: str | None = None) -> ItemBank:
 
 
 def _load_bank_json(path: Path) -> ItemBank:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: expected a JSON object")
+    payload = read_json(path)
     version = payload.get("format_version")
     if version != BANK_FORMAT_VERSION:
         raise FormatError(
@@ -188,7 +182,7 @@ def _load_bank_csv(path: Path) -> ItemBank:
     if not cpath.exists():
         raise FormatError(f"missing companion concepts file {cpath}")
     concepts = []
-    with open(cpath, newline="", encoding="utf-8") as fh:
+    with open_text(cpath) as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:2] != ["id", "label"]:
             raise FormatError(f"{cpath}: expected header id,label")
@@ -200,7 +194,7 @@ def _load_bank_csv(path: Path) -> ItemBank:
             if r:
                 concepts.append(Concept(r[0], r[1]))
     catalog = ConceptCatalog(tuple(concepts))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:4] != ["id", "prompt", "answer_key", "concepts"]:
         raise FormatError(f"{path}: expected header id,prompt,answer_key,concepts")

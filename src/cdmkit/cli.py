@@ -16,13 +16,14 @@ failed command's records to stderr before the error.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob as globmod
 import io
 import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -35,8 +36,8 @@ from .errors import (
     ValidationError,
 )
 from .grading import DEFAULT_RULE_NAME, get_rule
-from .heatmap import grid_from_mastery, render_svg, save_heatmap_csv
-from .manifest import write_json, write_manifest
+from .heatmap import render_svg, save_heatmap_csv
+from .manifest import open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -143,12 +144,7 @@ def _effective(args: argparse.Namespace) -> dict:
     options = {o.key: o for o in args.options}
     effective = {key: o.default for key, o in options.items()}
     if args.config:
-        try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{args.config}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise FormatError(f"{args.config}: config file must hold a JSON object")
+        payload = read_json(args.config)
         unknown = sorted(set(payload) - set(options))
         if unknown:
             raise FormatError(f"{args.config}: unknown config keys {unknown}")
@@ -322,30 +318,22 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     # leaves no partial outputs.
     report = concept_counts(mm, threshold=eff["threshold"])
     table = render_concept_table(report)
-    grid = grid_from_mastery(mm)
-    svg = render_svg(grid)
-    n_clusters = eff["clusters"]
-    if mm.n_models < 2:
-        log.warning("clustering skipped: need at least 2 models")
-        clusters_doc: dict = {"skipped": "need at least 2 models"}
-    else:
-        clusters = cluster_models(mm, n_clusters=n_clusters)
-        clusters_doc = {
-            "n_clusters": n_clusters,
-            "assignments": clusters.assignments,
-            "merges": [[a, b, d] for a, b, d in clusters.merges],
-            "excluded": list(clusters.excluded),
-        }
+    svg = render_svg(mm)
+    try:
+        clusters = cluster_models(mm, n_clusters=eff["clusters"])
+        clusters_doc: dict = {"n_clusters": eff["clusters"], **asdict(clusters)}
+    except DegenerateDataError as exc:
+        log.warning("clustering skipped: %s", exc)
+        clusters_doc = {"skipped": str(exc)}
 
     out = _out_dir(eff)
-    with open(out / "concept_counts.csv", "w", encoding="utf-8") as fh:
-        fh.write("model_id,mastered_count,total,mean_score\n")
+    with open(out / "concept_counts.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["model_id", "mastered_count", "total", "mean_score"])
         for row in report.rows:
-            fh.write(
-                f"{row.model_id},{row.mastered_count},{row.total},{repr(row.mean_score)}\n"
-            )
+            writer.writerow([row.model_id, row.mastered_count, row.total, repr(row.mean_score)])
     (out / "concept_counts.txt").write_text(table, encoding="utf-8")
-    save_heatmap_csv(grid, out / "heatmap.csv")
+    save_heatmap_csv(mm, out / "heatmap.csv")
     (out / "heatmap.svg").write_text(svg, encoding="utf-8")
     write_json(out / "clusters.json", clusters_doc)
     print(f"diagnosed {mm.n_models} models over {mm.n_concepts} concepts -> {out}")
@@ -364,9 +352,7 @@ AGREEMENT_OPTIONS = (
 
 
 def _load_annotations(path: str, distance: str) -> list[list[object]]:
-    import csv
-
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         rows = []
         for row in reader:
@@ -399,15 +385,7 @@ def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
     table = _load_annotations(eff["annotations"], eff["distance"])
     report = krippendorff_alpha(table, distance=eff["distance"])
     out = _out_dir(eff)
-    write_json(
-        out / "agreement.json",
-        {
-            "krippendorff_alpha": report.krippendorff_alpha,
-            "n_units": report.n_units,
-            "n_coders": report.n_coders,
-            "distance": report.distance,
-        },
-    )
+    write_json(out / "agreement.json", asdict(report))
     print(f"alpha={report.krippendorff_alpha:.4f} over {report.n_units} units -> {out}")
     return [eff["annotations"]], None
 

@@ -2,17 +2,13 @@
 
 SVG rather than raster so the output is diffable and testable: every cell
 rect carries its numeric value in a ``data-value`` attribute, and the fill
-color is a pure function of (value, scale bounds).
+color is a pure function of that value on the fixed [0, 1] scale of
+``MasteryMatrix.prob``, which the matrix itself checks along with its ids
+and shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-from numpy.typing import NDArray
-
-from .errors import DimensionError, ValidationError
 from .solver import MasteryMatrix
 
 # Linear ramp endpoints (light -> dark).
@@ -24,42 +20,9 @@ _LABEL_W = 90
 _LABEL_H = 70
 
 
-@dataclass(frozen=True)
-class HeatmapGrid:
-    model_ids: tuple[str, ...]
-    concept_ids: tuple[str, ...]
-    values: NDArray[np.float64]
-    vmin: float = 0.0
-    vmax: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (len(self.model_ids), len(self.concept_ids)):
-            raise DimensionError(
-                f"values {self.values.shape} vs ids "
-                f"({len(self.model_ids)}, {len(self.concept_ids)})"
-            )
-        if self.vmin >= self.vmax:
-            raise ValidationError("vmin must be < vmax")
-        if self.values.size and (
-            self.values.min() < self.vmin or self.values.max() > self.vmax
-        ):
-            raise ValidationError("values outside the declared color scale bounds")
-
-
-def grid_from_mastery(mastery: MasteryMatrix) -> HeatmapGrid:
-    return HeatmapGrid(
-        model_ids=mastery.model_ids,
-        concept_ids=mastery.concept_ids,
-        values=mastery.prob,
-        vmin=0.0,
-        vmax=1.0,
-    )
-
-
-def cell_color(value: float, vmin: float, vmax: float) -> str:
-    """Hex fill for a value under a linear two-color ramp."""
-    t = (value - vmin) / (vmax - vmin)
-    t = min(max(t, 0.0), 1.0)
+def cell_color(value: float) -> str:
+    """Hex fill for a value in [0, 1] under a linear two-color ramp."""
+    t = min(max(value, 0.0), 1.0)
     rgb = [round(lo + t * (hi - lo)) for lo, hi in zip(_LOW_RGB, _HIGH_RGB)]
     return "#{:02x}{:02x}{:02x}".format(*rgb)
 
@@ -71,41 +34,43 @@ def _esc(text: str) -> str:
     )
 
 
-def render_svg(grid: HeatmapGrid) -> str:
-    """Deterministic standalone SVG: models as rows, concepts as columns."""
-    n_rows, n_cols = len(grid.model_ids), len(grid.concept_ids)
+def render_svg(mastery: MasteryMatrix) -> str:
+    """Deterministic standalone SVG of ``mastery.prob``: models as rows,
+    concepts as columns, colored on the fixed [0, 1] scale."""
+    n_rows, n_cols = mastery.n_models, mastery.n_concepts
     width = _LABEL_W + n_cols * _CELL
     height = _LABEL_H + n_rows * _CELL
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<!-- scale: linear over [{repr(grid.vmin)}, {repr(grid.vmax)}] -->',
+        "<!-- scale: linear over [0.0, 1.0] -->",
     ]
-    for k, cid in enumerate(grid.concept_ids):
+    for k, cid in enumerate(mastery.concept_ids):
         x = _LABEL_W + k * _CELL + _CELL // 2
         parts.append(
             f'<text x="{x}" y="{_LABEL_H - 6}" font-size="8" text-anchor="start" '
             f'transform="rotate(-60 {x} {_LABEL_H - 6})">{_esc(cid)}</text>'
         )
-    for j, mid in enumerate(grid.model_ids):
+    for j, mid in enumerate(mastery.model_ids):
         y = _LABEL_H + j * _CELL
         parts.append(
             f'<text x="{_LABEL_W - 4}" y="{y + _CELL - 5}" font-size="9" '
             f'text-anchor="end">{_esc(mid)}</text>'
         )
         for k in range(n_cols):
-            value = float(grid.values[j, k])
+            value = float(mastery.prob[j, k])
             parts.append(
                 f'<rect x="{_LABEL_W + k * _CELL}" y="{y}" width="{_CELL}" height="{_CELL}" '
-                f'fill="{cell_color(value, grid.vmin, grid.vmax)}" '
-                f'data-model="{_esc(grid.model_ids[j])}" data-concept="{_esc(grid.concept_ids[k])}" '
+                f'fill="{cell_color(value)}" '
+                f'data-model="{_esc(mastery.model_ids[j])}" data-concept="{_esc(mastery.concept_ids[k])}" '
                 f'data-value="{repr(value)}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def save_heatmap_csv(grid: HeatmapGrid, path) -> None:
+def save_heatmap_csv(mastery: MasteryMatrix, path) -> None:
+    """The heatmap's values, ``mastery.prob``, as a labelled matrix CSV."""
     from .responses import save_matrix_csv
 
-    save_matrix_csv(grid.values, grid.model_ids, grid.concept_ids, path, corner="model_id")
+    save_matrix_csv(mastery.prob, mastery.model_ids, mastery.concept_ids, path, corner="model_id")

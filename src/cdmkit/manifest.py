@@ -3,18 +3,23 @@
 Every successful CLI command writes one ``manifest.json`` into its output
 directory.  Input files are recorded by content digest so a rerun can be
 checked for identity; the timestamp is the only field allowed to differ
-between identical reruns.  :func:`write_json` writes every JSON file.
+between identical reruns.  :func:`write_json` writes every JSON file,
+:func:`read_json` reads every JSON input, and every text input is opened
+through :func:`open_text`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from . import __version__
+from .errors import FormatError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -22,6 +27,29 @@ MANIFEST_NAME = "manifest.json"
 def write_json(path: str | Path, payload: object) -> None:
     """``payload`` as indented, key-sorted JSON with a trailing newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` open for reading as UTF-8 text, newlines untranslated (as
+    ``csv`` wants); a decode error in the block is a ``FormatError`` naming it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in ``path``, or a ``FormatError`` naming the file."""
+    with open_text(path) as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return payload
 
 
 def sha256_file(path: str | Path) -> str:

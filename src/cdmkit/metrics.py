@@ -286,8 +286,9 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     ``n - n_clusters`` merges, labelled 0.. in order of each cluster's first
     row.  Deterministic; merges of equal height come in scipy's order.
     All-zero rows have no direction and are excluded with a logged warning
-    (labelled -1).  The merge list is the full dendrogram in scipy-style ids
-    (the n clustered rows 0..n-1, then one new id per merge).
+    (labelled -1); fewer than 2 rows left raises ``DegenerateDataError``.
+    The merge list is the full dendrogram in scipy-style ids (the n
+    clustered rows 0..n-1, then one new id per merge).
     """
     from scipy.cluster.hierarchy import linkage
     from scipy.spatial.distance import pdist
@@ -300,7 +301,7 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     if excluded:
         log.warning("excluding all-zero mastery rows: %s", excluded)
     if len(keep) < 2:
-        raise ValidationError("need at least 2 non-zero mastery rows to cluster")
+        raise DegenerateDataError("need at least 2 non-zero mastery rows to cluster")
     if n_clusters > len(keep):
         raise ValidationError(
             f"n_clusters={n_clusters} exceeds the {len(keep)} clusterable rows"

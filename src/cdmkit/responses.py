@@ -18,6 +18,7 @@ from numpy.typing import NDArray
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
 from .grading import GradingRule, grade
+from .manifest import open_text
 
 DEFAULT_REPEATS = 10
 
@@ -53,23 +54,48 @@ class ResponseLog:
             seen.add(key)
 
 
+# The fields of one JSONL attempt record and the JSON type each must hold.
+_RECORD_KEYS = ("model", "item", "attempt", "output")
+_RECORD_TYPES = (str, str, int, str)
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
 def load_response_logs(path: str | Path) -> list[ResponseLog]:
-    """Read a JSONL file of attempts; returns one log per model (file order)."""
-    path = Path(path)
+    """Read a JSONL file of attempts; returns one log per model (file order).
+
+    Each non-empty line is a JSON object with string ``model``, ``item`` and
+    ``output`` and an integer ``attempt`` (not a boolean).  A line that is not
+    such an object is a ``FormatError`` ``<file>:<line>: ...``; a negative or
+    repeated attempt is a ``ValidationError`` naming the file.
+    """
     by_model: dict[str, list[Attempt]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-                attempt = Attempt(rec["item"], int(rec["attempt"]), rec["output"])
-                model = rec["model"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                model, item, index, output = (
+                    rec["model"], rec["item"], rec["attempt"], rec["output"]
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad attempt record ({exc!r})") from exc
-            by_model.setdefault(model, []).append(attempt)
-    return [ResponseLog(model, tuple(entries)) for model, entries in by_model.items()]
+            # type(), not isinstance(): a JSON true is a bool, and bool is an int.
+            if (type(model), type(item), type(index), type(output)) != _RECORD_TYPES:
+                key, kind = next(
+                    (key, kind) for key, kind in zip(_RECORD_KEYS, _RECORD_TYPES)
+                    if type(rec[key]) is not kind
+                )
+                raise FormatError(
+                    f"{path}:{lineno}: {key} must be {_TYPE_NAMES[kind]}, "
+                    f"got {json.dumps(rec[key])}"
+                )
+            by_model.setdefault(model, []).append(Attempt(item, index, output))
+    try:
+        return [ResponseLog(model, tuple(entries)) for model, entries in by_model.items()]
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_response_log(log_: ResponseLog, path: str | Path) -> None:
@@ -238,7 +264,7 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
         ids.append(text)
         return 0.0
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         # Lines come through readline, not iteration, so tell() stays usable.
         header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:

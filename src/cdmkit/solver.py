@@ -65,7 +65,6 @@ gradient check compares the kernel against an independent formula.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -75,7 +74,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
-from .manifest import write_json
+from .manifest import read_json, write_json
 from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
@@ -565,19 +564,12 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
 def load_mastery(path: str | Path) -> MasteryMatrix:
     """Read a mastery JSON bundle (as written by :func:`save_mastery`).
 
-    A missing or malformed field, or a bundle ``MasteryMatrix`` rejects (for
-    example a non-finite entry), raises ``ValidationError`` naming the file.
+    A file that is not a JSON object raises ``FormatError``; a missing or
+    malformed field, or a bundle ``MasteryMatrix`` rejects (for example an
+    unknown normalization or a non-finite entry), raises ``ValidationError``.
+    Both name the file.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: expected a JSON object")
-    norm = payload.get("normalization")
-    if norm not in NORMALIZATIONS:
-        raise ValidationError(f"{path}: unknown normalization tag {norm!r}")
+    payload = read_json(path)
 
     def matrix(rows) -> NDArray[np.float64]:
         return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
@@ -593,6 +585,6 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed field {name!r} ({exc})") from exc
     try:
-        return MasteryMatrix(normalization=norm, **fields)
+        return MasteryMatrix(normalization=payload.get("normalization"), **fields)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

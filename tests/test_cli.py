@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -15,8 +16,11 @@ import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_parser, main
 from cdmkit.errors import FormatError, ValidationError
+from cdmkit.manifest import read_json
 from cdmkit.metrics import concept_counts
-from cdmkit.responses import load_matrix_csv, load_response_matrix, save_matrix_csv
+from cdmkit.responses import (
+    load_matrix_csv, load_response_logs, load_response_matrix, save_matrix_csv,
+)
 from cdmkit.simulate import SimConfig
 from cdmkit.solver import MasteryMatrix, McfConfig, load_mastery, save_mastery
 
@@ -551,6 +555,23 @@ def test_diagnose_too_many_clusters(fitted_world, monkeypatch, capsys):
     assert not (fitted_world / "dx").exists()
 
 
+def test_diagnose_concept_counts_csv_quotes_ids(tmp_path, monkeypatch):
+    model_ids = ("org/model,v2", 'say "hi"', "plain")
+    prob = np.array([[0.95, 0.2], [0.1, 0.3], [0.99, 0.91]])
+    save_mastery(MasteryMatrix(prob, prob, "clip", model_ids, ("c0", "c1")), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["diagnose", "--mastery", "mastery.json", "--out", "d"]) == 0
+    with open(tmp_path / "d" / "concept_counts.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["model_id", "mastered_count", "total", "mean_score"]
+    assert {tuple(row[:3]) for row in rows[1:]} == {
+        ("org/model,v2", "1", "2"), ('say "hi"', "0", "2"), ("plain", "2", "2"),
+    }
+    assert (tmp_path / "d" / "concept_counts.csv").read_text().startswith(
+        "model_id,mastered_count,total,mean_score\n"
+    )
+
+
 def test_diagnose_single_model_skips_clustering(tmp_path, monkeypatch, capsys):
     _write_fit_inputs(tmp_path, n_models=1)
     monkeypatch.chdir(tmp_path)
@@ -672,6 +693,9 @@ FIT_ARGV = [
     "--max-iters", "5", "--out", "f",
 ]
 DIAGNOSE_ARGV = ["diagnose", "--mastery", "mastery.json", "--out", "d"]
+GRADE_ARGV = ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--out", "g"]
+GRADE_CSV_ARGV = ["grade", "--bank", "items.csv", "--logs", "log.jsonl", "--out", "g"]
+LOG_RECORD = '{"model": "gpt", "item": "q1", "attempt": 0, "output": "A"}'
 
 
 def _edit_lines(edit, *names):
@@ -708,8 +732,41 @@ def _write(name, text):
     return setup
 
 
+def _write_bank(root):
+    bank = {
+        "format_version": 1,
+        "concepts": [{"id": "c1", "label": "loops"}],
+        "items": [
+            {"id": "q1", "prompt": "p1", "answer_key": "A", "concepts": ["c1"]},
+            {"id": "q2", "prompt": "p2", "answer_key": "yes", "concepts": ["c1"]},
+        ],
+    }
+    (root / "bank.json").write_text(json.dumps(bank))
+
+
+def _bank_and_log(*lines):
+    """Case setup: a valid bank.json and log.jsonl holding ``lines``."""
+    def setup(root):
+        _write_bank(root)
+        (root / "log.jsonl").write_text("".join(line + "\n" for line in lines))
+    return setup
+
+
+def _not_utf8(name, call, argv, before=lambda root: None):
+    """A malformed-input case: after ``before``, ``name`` holds bytes that are not UTF-8."""
+    def setup(root):
+        before(root)
+        (root / name).write_bytes(b"\xff\xfe not UTF-8")
+    return (f"non-UTF-8 {name}", setup, call, FormatError, argv, 2, name,
+            f"{name}: not UTF-8 text (invalid start byte)")
+
+
 def _load_scores(root):
     load_matrix_csv(root / "scores.csv")
+
+
+def _load_log(root):
+    load_response_logs(root / "log.jsonl")
 
 
 def _concept_counts_from_config(root):
@@ -782,6 +839,34 @@ MALFORMED = [
      lambda root: SimConfig(10**30, 3, 4, 2),
      ValidationError, ["simulate", "--config", "sim.json", "--out", "s"], 2, "n_items",
      "n_items x n_models exceeds 100,000,000 elements"),
+    ("mastery invalid JSON", _write("mastery.json", "{"),
+     lambda root: load_mastery(root / "mastery.json"),
+     FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery.json: invalid JSON"),
+    # JSONL attempt records: string model, item and output; a JSON integer attempt.
+    ("log output not a string", _bank_and_log(LOG_RECORD.replace('"A"', "5")), _load_log,
+     FormatError, GRADE_ARGV, 2, "log.jsonl", "log.jsonl:1: output must be a string, got 5"),
+    *((f"log attempt {value}", _bank_and_log(LOG_RECORD.replace("0", value)), _load_log,
+       FormatError, GRADE_ARGV, 2, "log.jsonl",
+       f"log.jsonl:1: attempt must be an integer, got {value}")
+      for value in ("1.7", "true", '"0"')),
+    ("log duplicate attempt", _bank_and_log(LOG_RECORD, LOG_RECORD.replace('"A"', '"B"')),
+     _load_log, ValidationError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl: model 'gpt': duplicate attempt ('q1', 0)"),
+    ("log negative attempt", _bank_and_log(LOG_RECORD.replace("0", "-1")), _load_log,
+     ValidationError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl: model 'gpt': negative attempt index on 'q1'"),
+    # One file per reader that is not UTF-8.
+    _not_utf8("cfg.json", lambda root: read_json(root / "cfg.json"),
+              [*FIT_ARGV, "--config", "cfg.json"]),
+    _not_utf8("bank.json", lambda root: load_item_bank(root / "bank.json"), GRADE_ARGV),
+    _not_utf8("concepts.csv", lambda root: load_item_bank(root / "items.csv"), GRADE_CSV_ARGV),
+    _not_utf8("items.csv", lambda root: load_item_bank(root / "items.csv"), GRADE_CSV_ARGV,
+              before=_write("concepts.csv", "id,label\nc1,loops\n")),
+    _not_utf8("mastery.json", lambda root: load_mastery(root / "mastery.json"), DIAGNOSE_ARGV),
+    _not_utf8("log.jsonl", _load_log, GRADE_ARGV, before=_write_bank),
+    _not_utf8("scores.csv", _load_scores, FIT_ARGV),
+    _not_utf8("ann.csv", lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
+              ["agreement", "--annotations", "ann.csv", "--out", "a"]),
 ]
 
 
@@ -827,15 +912,7 @@ def _mastery_rows(prob):
 
 
 def _graded_logs(root):
-    bank = {
-        "format_version": 1,
-        "concepts": [{"id": "c1", "label": "loops"}],
-        "items": [
-            {"id": "q1", "prompt": "p1", "answer_key": "A", "concepts": ["c1"]},
-            {"id": "q2", "prompt": "p2", "answer_key": "yes", "concepts": ["c1"]},
-        ],
-    }
-    (root / "bank.json").write_text(json.dumps(bank))
+    _write_bank(root)
     attempts = [
         {"model": "gpt", "item": "q1", "attempt": 0, "output": "I am not sure."},
         {"model": "gpt", "item": "q2", "attempt": 0, "output": "A"},
@@ -859,7 +936,11 @@ WARNING_CASES = [
      ["excluding all-zero mastery rows: ('m0',)"]),
     ("diagnose: one model", _mastery_rows([[0.2, 0.9]]),
      ["diagnose", "--mastery", "mastery.json"],
-     ["clustering skipped: need at least 2 models"]),
+     ["clustering skipped: need at least 2 non-zero mastery rows to cluster"]),
+    ("diagnose: two models, one all-zero row", _mastery_rows([[0.2, 0.9], [0, 0]]),
+     ["diagnose", "--mastery", "mastery.json"],
+     ["excluding all-zero mastery rows: ('m1',)",
+      "clustering skipped: need at least 2 non-zero mastery rows to cluster"]),
     ("grade: unparseable output and a key without letters", _graded_logs,
      ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--repeats", "2"],
      ["could not extract a choice from output 'I am not sure.'; scoring 0",

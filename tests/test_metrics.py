@@ -303,7 +303,7 @@ def test_cluster_validation(caplog):
         cluster_models(_mm(np.array([[0.5, 0.1], [0.1, 0.5]])), n_clusters=3)
     with pytest.raises(ValidationError, match="n_clusters"):
         cluster_models(_mm(np.array([[0.5, 0.1], [0.1, 0.5]])), n_clusters=0)
-    with pytest.raises(ValidationError, match="at least 2"):
+    with pytest.raises(DegenerateDataError, match="at least 2"):
         cluster_models(_mm(np.array([[0.0, 0.0], [0.1, 0.5]])), n_clusters=1)
     assert caplog.messages == ["excluding all-zero mastery rows: ('m0',)"]
 

@@ -120,6 +120,28 @@ def test_jsonl_round_trip(tmp_path):
     assert loaded[0] == log
 
 
+# Text that must survive the JSONL round trip: quotes, backslashes, line
+# breaks JSON escapes, and separators it leaves raw (NEL, U+2028) that
+# str.splitlines would break a line at.
+TRICKY_TEXT = ["", '"', "\\", "a\nb", "a\r\nb", "\x00", "\x85", "\u2028", "答案：B", " edge "]
+
+_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(("m\u2028,\"x\"", [(t, k, TRICKY_TEXT[-1 - k]) for k, t in enumerate(TRICKY_TEXT)]))
+@given(st.tuples(
+    _text.filter(bool),
+    st.lists(st.tuples(_text, st.integers(min_value=0), _text), max_size=8,
+             unique_by=lambda e: e[:2]),
+))
+def test_jsonl_round_trip_property(tmp_path, case):
+    model, entries = case
+    log = _log(model, *entries)
+    save_response_log(log, tmp_path / "log.jsonl")
+    assert load_response_logs(tmp_path / "log.jsonl") == ([log] if entries else [])
+
+
 def test_jsonl_bad_record_names_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"model": "m", "item": "q1", "attempt": 0, "output": "A"}\n{"oops": 1}\n')

@@ -522,5 +522,5 @@ def test_mastery_bundle_unknown_tag(tmp_path):
     save_mastery(mastery(f), tmp_path)
     text = (tmp_path / "mastery.json").read_text().replace('"clip"', '"softmax"')
     (tmp_path / "mastery.json").write_text(text)
-    with pytest.raises(ValidationError, match="normalization tag"):
+    with pytest.raises(ValidationError, match="unknown normalization 'softmax'"):
         load_mastery(tmp_path / "mastery.json")
