@@ -217,8 +217,8 @@ def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     logs = []
     for path in log_paths:
         logs.extend(load_response_logs(path))
-    out = _out_dir(eff)
     matrix = aggregate(logs, bank, rule=rule, repeats=eff["repeats"])
+    out = _out_dir(eff)
     save_response_matrix(matrix, out / "scores.csv", out / "weights.csv")
     print(f"graded {len(matrix.item_ids)} items x {len(matrix.model_ids)} models -> {out}")
     return [eff["bank"], *log_paths], None
@@ -328,7 +328,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
 
     out = _out_dir(eff)
     with open(out / "concept_counts.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh)
         writer.writerow(["model_id", "mastered_count", "total", "mean_score"])
         for row in report.rows:
             writer.writerow([row.model_id, row.mastered_count, row.total, repr(row.mean_score)])

@@ -3,9 +3,11 @@
 Every successful CLI command writes one ``manifest.json`` into its output
 directory.  Input files are recorded by content digest so a rerun can be
 checked for identity; the timestamp is the only field allowed to differ
-between identical reruns.  :func:`write_json` writes every JSON file,
-:func:`read_json` reads every JSON input, and every text input is opened
-through :func:`open_text`.
+between identical reruns.  :func:`write_json` writes every JSON file: exactly
+the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
+newline, streamed to the file as they are encoded rather than built as one
+string.  :func:`read_json` reads every JSON input, and every text input is
+opened through :func:`open_text`.
 """
 
 from __future__ import annotations
@@ -16,17 +18,72 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from . import __version__
 from .errors import FormatError
 
 MANIFEST_NAME = "manifest.json"
+_CONTAINERS = (dict, list, tuple)
 
 
 def write_json(path: str | Path, payload: object) -> None:
-    """``payload`` as indented, key-sorted JSON with a trailing newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """Write ``payload`` to ``path`` as ``json.dumps`` with ``indent=2`` and
+    ``sort_keys=True`` would, and a newline, byte for byte.  It is written as
+    it is encoded: the whole document is never held in memory.  If encoding
+    fails, no file is left at ``path``."""
+    path = Path(path)
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            _write_value(fh.write, payload, 0, set())
+            fh.write("\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _write_value(
+    write: Callable[[str], object], value: object, depth: int, open_ids: set[int]
+) -> None:
+    """Write ``value`` as ``json.dumps`` does at nesting ``depth`` with
+    ``indent=2`` and ``sort_keys=True``.  A container that holds containers
+    is written item by item; anything else goes to json's C encoder in one
+    call, whose item separator carries the newline and indentation of the
+    level below."""
+    is_dict = isinstance(value, dict)
+    children = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+    inner = "\n" + "  " * (depth + 1)
+    if not any(isinstance(child, _CONTAINERS) for child in children):
+        text = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode(value)
+        if children:  # json puts the brackets of a non-empty container on lines of their own
+            text = f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+        write(text)
+        return
+    if id(value) in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(id(value))
+    write(("{" if is_dict else "[") + inner)
+    # json sorts the items before it converts non-string keys.
+    for i, item in enumerate(sorted(value.items()) if is_dict else value):
+        if i:
+            write("," + inner)
+        if is_dict:
+            key, item = item
+            write(json.dumps(_json_key(key)) + ": ")
+        _write_value(write, item, depth + 1, open_ids)
+    write("\n" + "  " * depth + ("}" if is_dict else "]"))
+    open_ids.discard(id(value))
+
+
+def _json_key(key: object) -> str:
+    """A dict key as json writes it: numbers, booleans and null become their
+    JSON text; any other non-string key is a ``TypeError``."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 @contextmanager

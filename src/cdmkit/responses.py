@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +32,12 @@ class Attempt:
 
 @dataclass(frozen=True)
 class ResponseLog:
-    """All graded-able attempts for one model."""
+    """All graded-able attempts for one model.  ``source`` is the file they
+    were read from, if any, for errors to name; it is not part of equality."""
 
     model_id: str
     entries: tuple[Attempt, ...]
+    source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.model_id:
@@ -93,7 +95,10 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
                 )
             by_model.setdefault(model, []).append(Attempt(item, index, output))
     try:
-        return [ResponseLog(model, tuple(entries)) for model, entries in by_model.items()]
+        return [
+            ResponseLog(model, tuple(entries), source=str(path))
+            for model, entries in by_model.items()
+        ]
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
@@ -150,6 +155,13 @@ class ResponseMatrix:
         return len(self.model_ids)
 
 
+def _sources(logs: list[ResponseLog], model_id: str) -> str:
+    """``"<file>, <file>: "`` for the files that hold ``model_id``'s logs
+    (empty when none was read from a file), to begin an error about them."""
+    files = sorted({lg.source for lg in logs if lg.model_id == model_id and lg.source})
+    return f"{', '.join(files)}: " if files else ""
+
+
 def aggregate(
     logs: list[ResponseLog],
     bank: ItemBank,
@@ -182,11 +194,14 @@ def aggregate(
         keys = [(e.item_id, e.attempt_index) for e in entries]
         if len(keys) != len(set(keys)):
             dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValidationError(f"model {model_id!r}: duplicate attempts {dupes}")
+            raise ValidationError(
+                f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
+            )
         bad = sorted({e.item_id for e in entries if e.attempt_index >= repeats})
         if bad:
             raise ValidationError(
-                f"model {model_id!r}: attempt index >= repeats ({repeats}) on {bad}"
+                f"{_sources(logs, model_id)}model {model_id!r}: "
+                f"attempt index >= repeats ({repeats}) on {bad}"
             )
 
     model_ids = tuple(sorted(merged))

@@ -554,8 +554,9 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
         "normalization": m.normalization,
         "model_ids": list(m.model_ids),
         "concept_ids": list(m.concept_ids),
-        "raw": [[float(x) for x in row] for row in m.raw],
-        "prob": [[float(x) for x in row] for row in m.prob],
+        # float64 first: an integer array would list ints, written without ".0".
+        "raw": np.asarray(m.raw, dtype=np.float64).tolist(),
+        "prob": np.asarray(m.prob, dtype=np.float64).tolist(),
     }
     write_json(bundle, payload)
     return [raw_path, prob_path, bundle]

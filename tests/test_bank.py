@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdmkit import (
     Concept,
@@ -121,3 +123,34 @@ def test_malformed_json_is_format_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(FormatError):
         load_item_bank(path)
+
+
+_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# The CSV format joins an item's concept ids with ";".
+_concept_ids = _text.filter(lambda c: c and ";" not in c)
+
+
+@st.composite
+def _banks(draw):
+    concept_ids = draw(st.lists(_concept_ids, min_size=1, max_size=5, unique=True))
+    catalog = ConceptCatalog(tuple(Concept(c, draw(_text)) for c in concept_ids))
+    item_ids = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
+    items = tuple(
+        Item(
+            item_id,
+            draw(_text),
+            draw(_text.filter(str.strip)),
+            frozenset(draw(st.lists(st.sampled_from(concept_ids), min_size=1, max_size=3))),
+        )
+        for item_id in item_ids
+    )
+    return ItemBank(items=items, catalog=catalog)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_banks(), st.sampled_from(["bank.json", "bank.csv"]))
+def test_bank_round_trip_property(tmp_path, bank, name):
+    save_item_bank(bank, tmp_path / name)
+    loaded = load_item_bank(tmp_path / name)
+    assert loaded.catalog == bank.catalog
+    assert loaded.items == bank.items

@@ -19,7 +19,7 @@ from cdmkit.errors import FormatError, ValidationError
 from cdmkit.manifest import read_json
 from cdmkit.metrics import concept_counts
 from cdmkit.responses import (
-    load_matrix_csv, load_response_logs, load_response_matrix, save_matrix_csv,
+    aggregate, load_matrix_csv, load_response_logs, load_response_matrix, save_matrix_csv,
 )
 from cdmkit.simulate import SimConfig
 from cdmkit.solver import MasteryMatrix, McfConfig, load_mastery, save_mastery
@@ -556,8 +556,8 @@ def test_diagnose_too_many_clusters(fitted_world, monkeypatch, capsys):
 
 
 def test_diagnose_concept_counts_csv_quotes_ids(tmp_path, monkeypatch):
-    model_ids = ("org/model,v2", 'say "hi"', "plain")
-    prob = np.array([[0.95, 0.2], [0.1, 0.3], [0.99, 0.91]])
+    model_ids = ("org/model,v2", 'say "hi"', "plain", "a\rb")
+    prob = np.array([[0.95, 0.2], [0.1, 0.3], [0.99, 0.91], [0.2, 0.95]])
     save_mastery(MasteryMatrix(prob, prob, "clip", model_ids, ("c0", "c1")), tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["diagnose", "--mastery", "mastery.json", "--out", "d"]) == 0
@@ -565,10 +565,11 @@ def test_diagnose_concept_counts_csv_quotes_ids(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     assert rows[0] == ["model_id", "mastered_count", "total", "mean_score"]
     assert {tuple(row[:3]) for row in rows[1:]} == {
-        ("org/model,v2", "1", "2"), ('say "hi"', "0", "2"), ("plain", "2", "2"),
+        ("org/model,v2", "1", "2"), ('say "hi"', "0", "2"), ("plain", "2", "2"), ("a\rb", "1", "2"),
     }
-    assert (tmp_path / "d" / "concept_counts.csv").read_text().startswith(
-        "model_id,mastered_count,total,mean_score\n"
+    # csv's default \r\n line ends, as in heatmap.csv: with them csv quotes a \r in an id.
+    assert (tmp_path / "d" / "concept_counts.csv").read_bytes().startswith(
+        b"model_id,mastered_count,total,mean_score\r\n"
     )
 
 
@@ -695,6 +696,7 @@ FIT_ARGV = [
 DIAGNOSE_ARGV = ["diagnose", "--mastery", "mastery.json", "--out", "d"]
 GRADE_ARGV = ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--out", "g"]
 GRADE_CSV_ARGV = ["grade", "--bank", "items.csv", "--logs", "log.jsonl", "--out", "g"]
+GRADE_TWO_ARGV = ["grade", "--bank", "bank.json", "--logs", "*.jsonl", "--out", "g"]
 LOG_RECORD = '{"model": "gpt", "item": "q1", "attempt": 0, "output": "A"}'
 
 
@@ -750,6 +752,20 @@ def _bank_and_log(*lines):
         _write_bank(root)
         (root / "log.jsonl").write_text("".join(line + "\n" for line in lines))
     return setup
+
+
+def _two_logs(first, second):
+    """Case setup: a valid bank.json, a.jsonl holding ``first`` and b.jsonl ``second``."""
+    def setup(root):
+        _write_bank(root)
+        (root / "a.jsonl").write_text(first + "\n")
+        (root / "b.jsonl").write_text(second + "\n")
+    return setup
+
+
+def _aggregate_two_logs(root):
+    logs = [*load_response_logs(root / "a.jsonl"), *load_response_logs(root / "b.jsonl")]
+    aggregate(logs, load_item_bank(root / "bank.json"))
 
 
 def _not_utf8(name, call, argv, before=lambda root: None):
@@ -855,6 +871,13 @@ MALFORMED = [
     ("log negative attempt", _bank_and_log(LOG_RECORD.replace("0", "-1")), _load_log,
      ValidationError, GRADE_ARGV, 2, "log.jsonl",
      "log.jsonl: model 'gpt': negative attempt index on 'q1'"),
+    # One model's logs split over two files: aggregate names both.
+    ("log duplicate attempt across files", _two_logs(LOG_RECORD, LOG_RECORD), _aggregate_two_logs,
+     ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
+     "b.jsonl: model 'gpt': duplicate attempts [('q1', 0)]"),
+    ("log attempt past repeats across files", _two_logs(LOG_RECORD, LOG_RECORD.replace("0", "10")),
+     _aggregate_two_logs, ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
+     "b.jsonl: model 'gpt': attempt index >= repeats (10) on ['q1']"),
     # One file per reader that is not UTF-8.
     _not_utf8("cfg.json", lambda root: read_json(root / "cfg.json"),
               [*FIT_ARGV, "--config", "cfg.json"]),
@@ -890,6 +913,7 @@ def test_malformed_input_table(
     assert main(argv) == code
     err = capsys.readouterr().err
     assert message in err and named in err
+    assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,89 @@
+import json
+import math
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cdmkit import write_json
+
+# Strings that json escapes: quotes, backslashes, control characters,
+# non-ASCII text and a character outside the BMP (a surrogate pair in JSON).
+_text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "a\r\nb", " ", "é中", "\U0001f600"]
+)
+_scalars = (
+    st.none() | st.booleans() | st.integers() | _text
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+)
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_text, children, max_size=4)
+        # json converts these keys to strings, after it sorts them.
+        | st.dictionaries(st.integers(), children, max_size=4)
+        | st.dictionaries(st.floats(allow_nan=False), children, max_size=3)
+    )
+
+
+_json_values = st.recursive(_scalars, _containers, max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example({"a": [], "b": {}, "c": [[], [{}], ()], "d": {"e": [[]]}})
+@example({10: [1], 9: {"x": [2.5, math.nan]}, -1: "z"})
+@example([{False: [0], True: {}}, {None: [None]}])
+@example(-0.0)
+@given(_json_values)
+def test_write_json_is_json_dumps_bytes(tmp_path, value):
+    path = tmp_path / "v.json"
+    write_json(path, value)
+    expected = json.dumps(value, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("payload, message", [
+    pytest.param({"a": list(range(100000)), "z": object()},
+                 "Object of type object is not JSON serializable", id="value after a long list"),
+    pytest.param({"a": [1], "b": {(1, 2): 3}},
+                 "keys must be str, int, float, bool or None, not tuple", id="tuple key"),
+    pytest.param({"a": [1], 1: [2]},
+                 "'<' not supported between instances of 'int' and 'str'", id="unsortable keys"),
+])
+def test_unserializable_payload_leaves_no_file(tmp_path, payload, message):
+    with pytest.raises(TypeError) as exc:
+        json.dumps(payload, indent=2, sort_keys=True)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        write_json(path, payload)
+    assert not path.exists()
+
+
+def test_circular_payload_is_value_error(tmp_path):
+    payload: dict = {"a": [1]}
+    payload["b"] = [payload]
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        write_json(tmp_path / "loop.json", payload)
+    assert not (tmp_path / "loop.json").exists()
+
+
+def test_write_json_does_not_hold_the_document(tmp_path):
+    # A 3000 x 120 float matrix, the shape of a large simulated world: json.dumps
+    # with indent builds about four times the file's size in str objects.
+    rows = np.random.default_rng(0).random((3000, 120)).tolist()
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        write_json(path, {"rows": rows})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.1 * size, f"peak {peak} bytes for a {size}-byte file"

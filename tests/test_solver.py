@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cdmkit import (
     FactorSet,
+    MasteryMatrix,
     McfConfig,
     NumericalError,
     SimConfig,
@@ -20,7 +23,7 @@ from cdmkit import (
     save_mastery,
     simulate,
 )
-from cdmkit.solver import _init_factors
+from cdmkit.solver import NORMALIZATIONS, _init_factors
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -514,6 +517,39 @@ def test_mastery_bundle_round_trip(tmp_path):
     assert back.model_ids == m.model_ids
     np.testing.assert_array_equal(back.raw, m.raw)
     np.testing.assert_array_equal(back.prob, m.prob)
+
+
+_ids = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _mastery_matrices(draw):
+    model_ids = draw(st.lists(_ids, min_size=1, max_size=5))
+    concept_ids = draw(st.lists(_ids, max_size=5))
+    shape = (len(model_ids), len(concept_ids))
+    raw = draw(st.lists(_finite, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    prob = draw(st.lists(st.floats(0.0, 1.0), min_size=len(raw), max_size=len(raw)))
+    return MasteryMatrix(
+        np.array(raw, dtype=np.float64).reshape(shape),
+        np.array(prob, dtype=np.float64).reshape(shape),
+        draw(st.sampled_from(NORMALIZATIONS)), tuple(model_ids), tuple(concept_ids),
+    )
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mastery_matrices())
+def test_mastery_bundle_round_trip_property(tmp_path, m):
+    save_mastery(m, tmp_path)
+    back = load_mastery(tmp_path / "mastery.json")
+    assert (back.normalization, back.model_ids, back.concept_ids) == (
+        m.normalization, m.model_ids, m.concept_ids,
+    )
+    for name in ("raw", "prob"):
+        got, want = getattr(back, name), getattr(m, name)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        # Bit patterns, so -0.0 and 0.0 differ.
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_mastery_bundle_unknown_tag(tmp_path):
