@@ -15,13 +15,9 @@ from .bank import Concept, ConceptCatalog, Item, ItemBank, load_item_bank, qmatr
 from .dina import (
     DinaParams,
     EmFitResult,
-    MasteryProfile,
-    dina_response_prob,
     em_fit,
     enumerate_profiles,
-    infer_profile,
     infer_profiles,
-    binarize_scores,
     simulate_dina,
 )
 from .errors import (
@@ -32,7 +28,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .grading import choice_letter_rule, extract_choice, get_rule, grade, register_rule
+from .grading import choice_letter_rule, extract_choice, grade
 from .heatmap import cell_color, render_svg, save_heatmap_csv
 from .manifest import RunManifest, sha256_file, write_json, write_manifest
 from .metrics import (

@@ -48,12 +48,6 @@ class ConceptCatalog:
     def ids(self) -> tuple[str, ...]:
         return tuple(c.concept_id for c in self.concepts)
 
-    def index(self, concept_id: str) -> int:
-        try:
-            return self.ids.index(concept_id)
-        except ValueError:
-            raise KeyError(concept_id) from None
-
 
 @dataclass(frozen=True)
 class Item:
@@ -112,9 +106,6 @@ class ItemBank:
     def item_ids(self) -> tuple[str, ...]:
         return tuple(item.item_id for item in self.items)
 
-    def item_index(self, item_id: str) -> int:
-        return self.item_ids.index(item_id)
-
 
 def qmatrix(bank: ItemBank) -> NDArray[np.float64]:
     """Binary item-by-concept tagging matrix derived from the bank.
@@ -136,19 +127,13 @@ def qmatrix(bank: ItemBank) -> NDArray[np.float64]:
 # On-disk formats
 # ---------------------------------------------------------------------------
 
-def load_item_bank(path: str | Path, format: str | None = None) -> ItemBank:
-    """Load a bank from JSON (single file) or CSV (items + companion concepts).
-
-    ``format`` may be "json" or "csv"; when omitted it is inferred from the
-    file extension.
-    """
+def load_item_bank(path: str | Path) -> ItemBank:
+    """Load a bank from CSV (items + companion concepts) when the suffix is
+    ``.csv``, any case, and from JSON (single file) otherwise."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "json":
-        return _load_bank_json(path)
-    if fmt == "csv":
+    if path.suffix.lower() == ".csv":
         return _load_bank_csv(path)
-    raise FormatError(f"unknown item bank format {fmt!r}")
+    return _load_bank_json(path)
 
 
 def _load_bank_json(path: Path) -> ItemBank:
@@ -215,10 +200,10 @@ def _load_bank_csv(path: Path) -> ItemBank:
     return ItemBank(items=tuple(items), catalog=catalog)
 
 
-def save_item_bank(bank: ItemBank, path: str | Path, format: str | None = None) -> None:
+def save_item_bank(bank: ItemBank, path: str | Path) -> None:
+    """Write the bank in the format :func:`load_item_bank` reads from ``path``'s suffix."""
     path = Path(path)
-    fmt = format or ("csv" if path.suffix.lower() == ".csv" else "json")
-    if fmt == "json":
+    if path.suffix.lower() != ".csv":
         payload = {
             "format_version": BANK_FORMAT_VERSION,
             "concepts": [{"id": c.concept_id, "label": c.label} for c in bank.catalog.concepts],
@@ -234,18 +219,15 @@ def save_item_bank(bank: ItemBank, path: str | Path, format: str | None = None) 
         }
         write_json(path, payload)
         return
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "prompt", "answer_key", "concepts"])
-            for item in bank.items:
-                writer.writerow(
-                    [item.item_id, item.prompt, item.answer_key, ";".join(sorted(item.concept_tags))]
-                )
-        with open(path.parent / "concepts.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "label"])
-            for c in bank.catalog.concepts:
-                writer.writerow([c.concept_id, c.label])
-        return
-    raise FormatError(f"unknown item bank format {fmt!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "prompt", "answer_key", "concepts"])
+        for item in bank.items:
+            writer.writerow(
+                [item.item_id, item.prompt, item.answer_key, ";".join(sorted(item.concept_tags))]
+            )
+    with open(path.parent / "concepts.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label"])
+        for c in bank.catalog.concepts:
+            writer.writerow([c.concept_id, c.label])

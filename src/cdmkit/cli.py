@@ -35,7 +35,6 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .grading import DEFAULT_RULE_NAME, get_rule
 from .heatmap import render_svg, save_heatmap_csv
 from .manifest import open_text, read_json, write_json, write_manifest
 from .metrics import (
@@ -56,7 +55,6 @@ from .responses import (
 )
 from .simulate import Q_MODES, RESPONSE_MODES, SimConfig, save_sim_output, simulate
 from .solver import (
-    INITS,
     NORMALIZATIONS,
     McfConfig,
     load_mastery,
@@ -197,7 +195,6 @@ def cmd_simulate(eff: dict) -> tuple[list[str], int | None]:
 GRADE_OPTIONS = (
     Option("bank", str),
     Option("logs", str, help="glob of JSONL response logs"),
-    Option("rule", str, DEFAULT_RULE_NAME),
     Option("repeats", int, DEFAULT_REPEATS),
     Option("out", str, "grade_out"),
 )
@@ -206,10 +203,6 @@ GRADE_OPTIONS = (
 def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     if not eff["bank"] or not eff["logs"]:
         raise ValidationError("grade requires --bank and --logs")
-    try:
-        rule = get_rule(eff["rule"])
-    except KeyError as exc:
-        raise ValidationError(exc.args[0]) from None
     bank = load_item_bank(eff["bank"])
     log_paths = sorted(globmod.glob(eff["logs"]))
     if not log_paths:
@@ -217,7 +210,7 @@ def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     logs = []
     for path in log_paths:
         logs.extend(load_response_logs(path))
-    matrix = aggregate(logs, bank, rule=rule, repeats=eff["repeats"])
+    matrix = aggregate(logs, bank, repeats=eff["repeats"])
     out = _out_dir(eff)
     save_response_matrix(matrix, out / "scores.csv", out / "weights.csv")
     print(f"graded {len(matrix.item_ids)} items x {len(matrix.model_ids)} models -> {out}")
@@ -236,7 +229,6 @@ FIT_OPTIONS = (
     *(_field(McfConfig, name) for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept")),
     *(_field(McfConfig, name) for name in ("max_iters", "tol", "epsilon", "seed")),
     Option("starts", int, 8),
-    _field(McfConfig, "init", choices=INITS),
     Option("normalization", str, "clip", choices=NORMALIZATIONS),
     Option("binarize_threshold", float, 0.5),
     Option("out", str, "fit_out"),

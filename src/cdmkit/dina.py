@@ -44,26 +44,6 @@ class DinaParams:
 
 
 @dataclass(frozen=True)
-class MasteryProfile:
-    alpha: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a not in (0, 1) for a in self.alpha):
-            raise ValidationError("profile entries must be 0 or 1")
-
-    @property
-    def n_mastered(self) -> int:
-        return sum(self.alpha)
-
-
-@dataclass(frozen=True)
-class ProfileInference:
-    profile: MasteryProfile
-    posterior: NDArray[np.float64]  # over all 2^K profiles, lexicographic order
-    tie: bool
-
-
-@dataclass(frozen=True)
 class EmFitResult:
     params: DinaParams
     posteriors: NDArray[np.float64]  # 2^K x n_models
@@ -88,21 +68,6 @@ def enumerate_profiles(n_concepts: int) -> NDArray[np.float64]:
 def _gate_table(profiles: NDArray[np.float64], qmat: NDArray[np.float64]) -> NDArray[np.float64]:
     """gate[p, i] = 1 iff profile p masters every concept item i requires."""
     return (profiles[:, None, :] >= qmat[None, :, :]).all(axis=2).astype(np.float64)
-
-
-def dina_response_prob(
-    alpha: MasteryProfile | NDArray[np.float64],
-    q_row: NDArray[np.float64],
-    slip: float,
-    guess: float,
-) -> float:
-    """Correct-response probability for one profile on one item."""
-    a = np.asarray(alpha.alpha if isinstance(alpha, MasteryProfile) else alpha, dtype=float)
-    q = np.asarray(q_row, dtype=float)
-    if q.sum() < 1:
-        raise ValidationError("item requires no concepts")
-    mastered = bool(np.all(a >= q))
-    return 1.0 - slip if mastered else guess
 
 
 def _loglik(
@@ -130,27 +95,6 @@ def _map_index(post_col: NDArray[np.float64], profile_sums: NDArray[np.float64])
     return int(idx), len(cand) > 1
 
 
-def infer_profile(
-    responses: NDArray[np.float64],
-    qmat: NDArray[np.float64],
-    params: DinaParams,
-) -> ProfileInference:
-    """Exhaustive posterior over profiles for one model, uniform prior."""
-    responses = np.asarray(responses, dtype=np.float64)
-    if not np.all((responses == 0) | (responses == 1)):
-        raise ValidationError("responses must be binary")
-    profiles = enumerate_profiles(qmat.shape[1])
-    gate = _gate_table(profiles, qmat)
-    loglik = _loglik(responses[:, None], gate, params)
-    post = _posterior_from_loglik(loglik)[:, 0]
-    idx, tie = _map_index(post, profiles.sum(axis=1))
-    return ProfileInference(
-        profile=MasteryProfile(tuple(int(a) for a in profiles[idx])),
-        posterior=post,
-        tie=tie,
-    )
-
-
 def infer_profiles(
     responses: NDArray[np.float64],
     qmat: NDArray[np.float64],
@@ -175,11 +119,6 @@ def infer_profiles(
         out[j] = profiles[idx]
         ties[j] = tie
     return out, post, ties
-
-
-def binarize_scores(scores: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Fractional scores to binary responses; exactly 0.5 rounds up."""
-    return (np.asarray(scores) >= 0.5).astype(np.float64)
 
 
 def em_fit(

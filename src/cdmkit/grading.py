@@ -1,6 +1,6 @@
 """Deterministic grading of raw model outputs against an answer key.
 
-The default rule handles multiple-choice answers: the first standalone
+The one rule handles multiple-choice answers: the first standalone
 choice-letter (or run of letters for multi-select keys) found in the
 uppercased output is compared against the key.  Extraction failure is a
 score of 0 plus a logged warning — grading never raises on messy output.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Callable, Protocol
 
 log = logging.getLogger(__name__)
 
@@ -21,10 +20,6 @@ _CHOICE_RUN = re.compile(r"(?<![A-Z0-9])[A-D]+(?![A-Z0-9])")
 # Text between two runs that still counts as a separator within one answer,
 # e.g. "A, B" or "A、B和D" — anything without letters/digits.
 _SEPARATOR = re.compile(r"^[^A-Z0-9]*$")
-
-
-class GradingRule(Protocol):
-    def __call__(self, raw_output: str, answer_key: str) -> int: ...
 
 
 def extract_choice(raw_output: str, multi: bool = False) -> str | None:
@@ -66,26 +61,8 @@ def choice_letter_rule(raw_output: str, answer_key: str) -> int:
     return int(got == key)
 
 
-DEFAULT_RULE: GradingRule = choice_letter_rule
-DEFAULT_RULE_NAME = "choice-letter"
-
-_RULES: dict[str, GradingRule] = {DEFAULT_RULE_NAME: choice_letter_rule}
-
-
-def get_rule(name: str) -> GradingRule:
-    try:
-        return _RULES[name]
-    except KeyError:
-        raise KeyError(f"unknown grading rule {name!r}; known: {sorted(_RULES)}") from None
-
-
-def register_rule(name: str, rule: Callable[[str, str], int]) -> None:
-    """Plug in a custom rule (scores must be deterministic and in {0,1})."""
-    _RULES[name] = rule
-
-
-def grade(raw_output: str, answer_key: str, rule: GradingRule | None = None) -> int:
+def grade(raw_output: str, answer_key: str) -> int:
     """Score one attempt: 1 iff the extracted answer matches the key."""
     if not answer_key.strip():
         raise ValueError("empty answer key")
-    return (rule or DEFAULT_RULE)(raw_output, answer_key)
+    return choice_letter_rule(raw_output, answer_key)

@@ -38,10 +38,14 @@ class ReconstructionReport:
         return asdict(self)
 
 
+def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
+    """1-based ranks of a 1-D array, ties sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+
+
 def auc_mann_whitney(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> float:
     """Rank-based AUC with the standard half-credit for tied scores."""
-    from scipy.stats import rankdata
-
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     pos = labels == 1
@@ -49,7 +53,7 @@ def auc_mann_whitney(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> f
     n_neg = scores.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateDataError("AUC undefined: only one label class present")
-    ranks = rankdata(scores)
+    ranks = average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

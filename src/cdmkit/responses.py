@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
-from .grading import GradingRule, grade
+from .grading import grade
 from .manifest import open_text
 
 DEFAULT_REPEATS = 10
@@ -165,7 +165,6 @@ def _sources(logs: list[ResponseLog], model_id: str) -> str:
 def aggregate(
     logs: list[ResponseLog],
     bank: ItemBank,
-    rule: GradingRule | None = None,
     repeats: int = DEFAULT_REPEATS,
 ) -> ResponseMatrix:
     """Grade every attempt and average per cell.
@@ -212,9 +211,7 @@ def aggregate(
     for j, model_id in enumerate(model_ids):
         cells: dict[str, list[int]] = {}
         for e in merged[model_id]:
-            cells.setdefault(e.item_id, []).append(
-                grade(e.raw_output, keys[e.item_id], rule)
-            )
+            cells.setdefault(e.item_id, []).append(grade(e.raw_output, keys[e.item_id]))
         for item_id, marks in cells.items():
             i = item_index[item_id]
             scores[i, j] = sum(marks) / len(marks)

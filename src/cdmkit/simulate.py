@@ -27,6 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DegenerateDataError, ValidationError
+from .metrics import average_ranks
 from .solver import FactorSet, MasteryMatrix, _default_ids
 
 log = logging.getLogger(__name__)
@@ -201,8 +202,6 @@ def recovery_score(fitted: MasteryMatrix, truth: SimOutput) -> RecoveryScore:
     correlation; it is reported as NaN and excluded from the mean (with a
     logged warning).
     """
-    from scipy.stats import spearmanr
-
     if fitted.prob.shape != truth.p_mastery.shape:
         raise ValidationError(
             f"fitted {fitted.prob.shape} vs truth {truth.p_mastery.shape}"
@@ -213,7 +212,7 @@ def recovery_score(fitted: MasteryMatrix, truth: SimOutput) -> RecoveryScore:
         a, b = fitted.prob[j], truth.p_mastery[j]
         if np.ptp(a) == 0 or np.ptp(b) == 0:
             continue
-        rho[j] = spearmanr(a, b).statistic
+        rho[j] = np.corrcoef(average_ranks(a), average_ranks(b))[0, 1]
     n_excluded = int(np.isnan(rho).sum())
     if n_excluded:
         log.warning("%d model row(s) had undefined rank correlation", n_excluded)

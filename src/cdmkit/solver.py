@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +79,7 @@ from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
 
-NORMALIZATIONS = ("clip", "minmax_global", "minmax_per_concept")
-INITS = ("gamma_prior", "uniform")
+NORMALIZATIONS = ("clip", "minmax_global")
 
 
 @dataclass(frozen=True)
@@ -96,10 +95,6 @@ class McfConfig:
     tol: float = 1e-4
     epsilon: float = 1e-12
     seed: int = 0
-    init: str = "gamma_prior"
-    init_gamma_item: tuple[float, float] = (1.0, 1.0)
-    init_gamma_model: tuple[float, float] = (1.0, 1.0)
-    init_gamma_concept: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.n_skills < 1:
@@ -113,22 +108,9 @@ class McfConfig:
         for name in ("tol", "epsilon"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and > 0")
-        if self.init not in INITS:
-            raise ValidationError(f"unknown init mode {self.init!r}")
-        for name in ("init_gamma_item", "init_gamma_model", "init_gamma_concept"):
-            if not all(0 < x < math.inf for x in getattr(self, name)):
-                raise ValidationError(f"{name} must be finite and > 0 (shape and rate)")
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McfConfig":
-        kw = dict(d)
-        for name in ("init_gamma_item", "init_gamma_model", "init_gamma_concept"):
-            if name in kw:
-                kw[name] = tuple(kw[name])
-        return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -317,20 +299,14 @@ def objective_gradients(
 def _init_factors(
     n_items: int, n_models: int, n_concepts: int, config: McfConfig
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Seeded unit-exponential (Gamma(1, 1)) draws for E, then U, then V."""
     rng = np.random.default_rng(config.seed)
     t = config.n_skills
-    if config.init == "gamma_prior":
-        sa, ra = config.init_gamma_item
-        sc, rc = config.init_gamma_model
-        se, re_ = config.init_gamma_concept
-        e = rng.gamma(sa, 1.0 / ra, (n_items, t))
-        u = rng.gamma(sc, 1.0 / rc, (t, n_models))
-        v = rng.gamma(se, 1.0 / re_, (t, n_concepts))
-    else:  # uniform over (0, 1]
-        e = 1.0 - rng.random((n_items, t))
-        u = 1.0 - rng.random((t, n_models))
-        v = 1.0 - rng.random((t, n_concepts))
-    return e, u, v
+    return (
+        rng.gamma(1.0, 1.0, (n_items, t)),
+        rng.gamma(1.0, 1.0, (t, n_models)),
+        rng.gamma(1.0, 1.0, (t, n_concepts)),
+    )
 
 
 def fit(
@@ -453,31 +429,21 @@ def mastery(
     """Model-by-concept mastery from the fitted factors.
 
     ``raw`` is the exact factor product; ``prob`` maps it into [0,1] under the
-    chosen mode: "clip" caps at 1, "minmax_global" rescales by the matrix-wide
-    range, "minmax_per_concept" rescales each column.  clip and minmax_global
-    preserve each row's argmax.
+    chosen mode: "clip" caps at 1 and "minmax_global" rescales by the
+    matrix-wide range.  Both preserve each row's argmax.
     """
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization {normalization!r}")
     raw = factors.skill_model.T @ factors.skill_concept
     if normalization == "clip":
         prob = np.minimum(raw, 1.0)
-    elif normalization == "minmax_global":
+    else:
         lo, hi = float(raw.min()), float(raw.max())
         if hi - lo <= 0:
             log.warning("constant mastery matrix; minmax maps all entries to 0")
             prob = np.zeros_like(raw)
         else:
             prob = (raw - lo) / (hi - lo)
-    else:
-        prob = np.zeros_like(raw)
-        for k in range(raw.shape[1]):
-            col = raw[:, k]
-            lo, hi = float(col.min()), float(col.max())
-            if hi - lo <= 0:
-                log.warning("constant mastery column %d; minmax maps it to 0", k)
-            else:
-                prob[:, k] = (col - lo) / (hi - lo)
     n_models, n_concepts = raw.shape
     return MasteryMatrix(
         raw=raw,
@@ -573,11 +539,13 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     payload = read_json(path)
 
     def matrix(rows) -> NDArray[np.float64]:
-        return np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        # One column per concept id, so a bundle with no models reads as (0, K).
+        values = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        return values.reshape(len(rows), len(fields["concept_ids"]))
 
     fields = {}
     for name, convert in (
-        ("raw", matrix), ("prob", matrix), ("model_ids", tuple), ("concept_ids", tuple)
+        ("model_ids", tuple), ("concept_ids", tuple), ("raw", matrix), ("prob", matrix)
     ):
         if name not in payload:
             raise ValidationError(f"{path}: missing field {name!r}")

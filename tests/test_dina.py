@@ -3,27 +3,28 @@ import pytest
 
 from cdmkit import (
     DinaParams,
-    MasteryProfile,
-    NumericalError,
     ValidationError,
-    binarize_scores,
-    dina_response_prob,
     em_fit,
     enumerate_profiles,
-    infer_profile,
     infer_profiles,
     simulate_dina,
 )
-from cdmkit.dina import _gate_table
+from cdmkit.dina import _gate_table, _loglik
 
 
 def test_response_prob_forced_cases():
-    q_row = np.array([1.0, 1.0, 0.0])
-    full = MasteryProfile((1, 1, 0))
-    missing = MasteryProfile((1, 0, 1))
-    assert dina_response_prob(full, q_row, slip=0.1, guess=0.2) == pytest.approx(0.9)
-    assert dina_response_prob(missing, q_row, slip=0.1, guess=0.2) == pytest.approx(0.2)
-    assert dina_response_prob(full, q_row, slip=0.0, guess=0.0) == 1.0
+    # One item requiring the first two concepts; a correct answer's likelihood
+    # is 1 - slip for a profile that masters both and guess for one that does not.
+    q = np.array([[1.0, 1.0, 0.0]])
+    profiles = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    gate = _gate_table(profiles, q)
+    np.testing.assert_array_equal(gate, [[1.0], [0.0]])
+    correct = np.ones((1, 1))
+    p = np.exp(_loglik(correct, gate, DinaParams(np.array([0.1]), np.array([0.2]))))
+    np.testing.assert_allclose(p[:, 0], [0.9, 0.2])
+    # p is kept just below 1, so that the log of 1 - p stays finite.
+    p = np.exp(_loglik(correct, gate, DinaParams(np.zeros(1), np.zeros(1))))
+    assert p[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_profile_enumeration_is_lexicographic():
@@ -71,13 +72,13 @@ def test_all_correct_two_skill_tie():
     # (1,0) and (1,1) both have likelihood 1, the others 0, so the posterior
     # splits evenly and the reported MAP is the smaller profile with a tie flag.
     qmat = np.array([[1.0, 0.0], [1.0, 0.0]])
-    responses = np.array([1.0, 1.0])
+    responses = np.array([[1.0], [1.0]])
     params = DinaParams(np.zeros(2), np.zeros(2))
-    inf = infer_profile(responses, qmat, params)
-    assert inf.profile.alpha == (1, 0)
-    assert inf.tie
-    np.testing.assert_allclose(sorted(inf.posterior), [0.0, 0.0, 0.5, 0.5], atol=1e-12)
-    assert inf.posterior.sum() == pytest.approx(1.0, abs=1e-12)
+    prof, post, ties = infer_profiles(responses, qmat, params)
+    np.testing.assert_array_equal(prof, [[1.0, 0.0]])
+    assert ties.tolist() == [True]
+    np.testing.assert_allclose(sorted(post[:, 0]), [0.0, 0.0, 0.5, 0.5], atol=1e-12)
+    assert post[:, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_batch_inference_matches_single():
@@ -85,16 +86,16 @@ def test_batch_inference_matches_single():
     params = DinaParams(np.full(12, 0.15), np.full(12, 0.1))
     prof, post, ties = infer_profiles(X, Q, params)
     for j in range(5):
-        single = infer_profile(X[:, j], Q, params)
-        assert tuple(int(a) for a in prof[j]) == single.profile.alpha
-        np.testing.assert_allclose(post[:, j], single.posterior, atol=1e-12)
-        assert ties[j] == single.tie
+        one_prof, one_post, one_tie = infer_profiles(X[:, [j]], Q, params)
+        np.testing.assert_array_equal(prof[j], one_prof[0])
+        np.testing.assert_allclose(post[:, j], one_post[:, 0], atol=1e-12)
+        assert ties[j] == one_tie[0]
 
 
 def test_non_binary_responses_rejected():
     Q = np.eye(2)
     with pytest.raises(ValidationError, match="binary"):
-        infer_profile(np.array([0.5, 1.0]), Q, DinaParams(np.zeros(2), np.zeros(2)))
+        infer_profiles(np.array([[0.5], [1.0]]), Q, DinaParams(np.zeros(2), np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +152,6 @@ def test_em_posteriors_normalized():
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def test_binarize_rounds_half_up():
-    scores = np.array([[0.49, 0.5, 0.51, 0.0, 1.0]])
-    np.testing.assert_array_equal(
-        binarize_scores(scores), np.array([[0.0, 1.0, 1.0, 0.0, 1.0]])
-    )
-
 
 def test_params_validation():
     with pytest.raises(ValidationError, match=r"slip \+ guess"):

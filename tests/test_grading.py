@@ -2,7 +2,7 @@ import logging
 
 import pytest
 
-from cdmkit import extract_choice, get_rule, grade, register_rule
+from cdmkit import extract_choice, grade
 
 
 # CJK-flavoured outputs mirror the messy transcripts the extractor exists for.
@@ -65,14 +65,6 @@ def test_empty_key_raises():
 def test_key_without_choice_letters_scores_zero(caplog):
     with caplog.at_level(logging.WARNING, logger="cdmkit.grading"):
         assert grade("A", "42") == 0
-
-
-def test_rule_registry_round_trip():
-    register_rule("always-right", lambda raw, key: 1)
-    assert get_rule("always-right")("junk", "A") == 1
-    assert grade("junk", "A", rule=get_rule("always-right")) == 1
-    with pytest.raises(KeyError, match="unknown grading rule"):
-        get_rule("no-such-rule")
 
 
 def test_default_rule_is_deterministic():

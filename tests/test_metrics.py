@@ -17,6 +17,7 @@ from cdmkit import (
     reconstruction_metrics,
     render_concept_table,
 )
+from cdmkit.metrics import average_ranks
 
 
 def _mm(prob, model_ids=None, normalization="clip"):
@@ -62,6 +63,22 @@ def test_auc_fast_equals_pairwise(seed):
     fast = auc_mann_whitney(scores, labels)
     slow = auc_pairwise(scores, labels)
     assert fast == pytest.approx(slow, abs=1e-12)
+
+
+# Any finite floats, and draws from four values so that most entries tie.
+_rank_inputs = st.one_of(
+    st.lists(st.floats(allow_nan=False), max_size=50),
+    st.lists(st.sampled_from([-1.0, 0.0, 0.25, 1.0]), max_size=50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_inputs)
+def test_average_ranks_equal_rankdata(values):
+    from scipy.stats import rankdata
+
+    values = np.array(values, dtype=np.float64)
+    np.testing.assert_array_equal(average_ranks(values), rankdata(values))
 
 
 def test_auc_single_class_is_degenerate():

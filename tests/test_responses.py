@@ -54,7 +54,7 @@ def test_scores_on_the_averaging_grid(tiny_bank):
     for m in range(4):
         entries = []
         for iid in tiny_bank.item_ids:
-            key = tiny_bank.items[tiny_bank.item_index(iid)].answer_key
+            key = tiny_bank.items[tiny_bank.item_ids.index(iid)].answer_key
             for a in range(10):
                 entries.append((iid, a, key if rng.random() < 0.6 else "Z"))
         logs.append(_log(f"m{m}", *entries))
