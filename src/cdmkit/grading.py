@@ -49,16 +49,33 @@ def extract_choice(raw_output: str, multi: bool = False) -> str | None:
     return "".join(sorted(letters))
 
 
+def normalize_key(answer_key: str) -> str:
+    """The key's choice letters, uppercased, once each and sorted ("" when it
+    holds none): the form :func:`mark` compares an extracted answer with."""
+    return "".join(sorted(set(answer_key.upper()) & set("ABCD")))
+
+
+def mark(raw_output: str, key: str) -> int | None:
+    """1 or 0 for an output against a :func:`normalize_key` key, or None when
+    the attempt cannot be graded: the key holds no choice letter or nothing
+    can be extracted.  Pure, so a caller may reuse a result for equal inputs;
+    :func:`choice_letter_rule` turns None into 0 and a warning."""
+    if not key:
+        return None
+    got = extract_choice(raw_output, multi=len(key) > 1)
+    return None if got is None else int(got == key)
+
+
 def choice_letter_rule(raw_output: str, answer_key: str) -> int:
-    key = "".join(sorted(set(answer_key.upper()) & set("ABCD")))
+    key = normalize_key(answer_key)
+    result = mark(raw_output, key)
+    if result is not None:
+        return result
     if not key:
         log.warning("answer key %r contains no choice letters; scoring 0", answer_key)
-        return 0
-    got = extract_choice(raw_output, multi=len(key) > 1)
-    if got is None:
+    else:
         log.warning("could not extract a choice from output %r; scoring 0", raw_output[:80])
-        return 0
-    return int(got == key)
+    return 0
 
 
 def grade(raw_output: str, answer_key: str) -> int:

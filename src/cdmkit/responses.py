@@ -9,22 +9,23 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
-from .grading import grade
+from .grading import grade, mark, normalize_key
 from .manifest import open_text
 
 DEFAULT_REPEATS = 10
 
 
-@dataclass(frozen=True)
-class Attempt:
+class Attempt(NamedTuple):
     item_id: str
     attempt_index: int
     raw_output: str
@@ -162,6 +163,10 @@ def _sources(logs: list[ResponseLog], model_id: str) -> str:
     return f"{', '.join(files)}: " if files else ""
 
 
+# Stands for a mark not yet given to an (output, key) pair in one aggregate call.
+_UNSEEN = object()
+
+
 def aggregate(
     logs: list[ResponseLog],
     bank: ItemBank,
@@ -172,6 +177,10 @@ def aggregate(
     score = correct/graded attempts for the cell; weight = graded/repeats
     capped at 1; cells with no attempts get score 0, weight 0.  Model columns
     are sorted by id so the result does not depend on log order.
+
+    Each distinct (output, answer key) pair is graded once per call; every
+    attempt whose output cannot be graded still logs its own warning, in
+    attempt order.
     """
     if not logs:
         raise ValidationError("no response logs given")
@@ -185,17 +194,22 @@ def aggregate(
         raise ValidationError(f"unknown item ids in logs: {unknown}")
 
     merged: dict[str, list[Attempt]] = {}
+    split: set[str] = set()
     for lg in logs:
+        if lg.model_id in merged:
+            split.add(lg.model_id)
         merged.setdefault(lg.model_id, []).extend(lg.entries)
-    # Re-validate after merging: the same model may be split across files but
-    # must not repeat an (item, attempt) pair; attempt indices must fit R.
+    # Re-validate after merging: the same model may be split across logs but
+    # must not repeat an (item, attempt) pair (one log's pairs are unique
+    # already); attempt indices must fit R.
     for model_id, entries in merged.items():
-        keys = [(e.item_id, e.attempt_index) for e in entries]
-        if len(keys) != len(set(keys)):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValidationError(
-                f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
-            )
+        if model_id in split:
+            keys = Counter((e.item_id, e.attempt_index) for e in entries)
+            if len(keys) != len(entries):
+                dupes = sorted(k for k, n in keys.items() if n > 1)
+                raise ValidationError(
+                    f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
+                )
         bad = sorted({e.item_id for e in entries if e.attempt_index >= repeats})
         if bad:
             raise ValidationError(
@@ -204,24 +218,42 @@ def aggregate(
             )
 
     model_ids = tuple(sorted(merged))
-    item_index = {iid: i for i, iid in enumerate(bank.item_ids)}
-    keys = {item.item_id: item.answer_key for item in bank.items}
+    # Per item: its row, its answer key, the key normalized once, and the
+    # marks already given under that key (shared by every item with it).
+    by_key: dict[str, dict[str, int | None]] = {}
+    rows = {}
+    for i, item in enumerate(bank.items):
+        key = normalize_key(item.answer_key)
+        rows[item.item_id] = (i, item.answer_key, key, by_key.setdefault(key, {}))
     scores = np.zeros((len(bank), len(model_ids)), dtype=np.float64)
     weights = np.zeros_like(scores)
     for j, model_id in enumerate(model_ids):
-        cells: dict[str, list[int]] = {}
-        for e in merged[model_id]:
-            cells.setdefault(e.item_id, []).append(grade(e.raw_output, keys[e.item_id]))
-        for item_id, marks in cells.items():
-            i = item_index[item_id]
-            scores[i, j] = sum(marks) / len(marks)
-            weights[i, j] = min(len(marks) / repeats, 1.0)
+        right = [0] * len(bank)
+        graded = [0] * len(bank)
+        for item_id, _, output in merged[model_id]:
+            i, answer_key, key, marks = rows[item_id]
+            got = marks.get(output, _UNSEEN)
+            if got is _UNSEEN:
+                got = marks[output] = mark(output, key)
+            if got is None:
+                # grade scores it 0 and logs this attempt's warning.
+                got = grade(output, answer_key)
+            right[i] += got
+            graded[i] += 1
+        count = np.array(graded, dtype=np.float64)
+        np.divide(right, count, out=scores[:, j], where=count > 0)
+        weights[:, j] = np.minimum(count / repeats, 1.0)
     return ResponseMatrix(scores, weights, bank.item_ids, model_ids)
 
 
 # ---------------------------------------------------------------------------
 # CSV round-trip (scores and weights as parallel files)
 # ---------------------------------------------------------------------------
+
+# save_matrix_csv formats about this many cells at a time: enough for a
+# repeated value to be formatted rarely, few enough to keep the memory small.
+_BLOCK_CELLS = 1 << 16
+
 
 def save_matrix_csv(
     matrix: NDArray[np.float64],
@@ -235,13 +267,19 @@ def save_matrix_csv(
     Floats are written with ``repr`` (shortest round-trip form) so that
     save→load is bit-exact and reruns produce byte-identical files.
     """
+    bits = np.asarray(matrix, dtype=np.float64).view(np.uint64)
+    step = max(1, _BLOCK_CELLS // max(1, bits.shape[1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([corner, *col_ids])
-        # One row at a time as Python floats: repr needs them, and converting
-        # the whole matrix at once would hold every cell as an object.
-        for rid, row in zip(row_ids, np.asarray(matrix, dtype=np.float64)):
-            writer.writerow([rid, *map(repr, row.tolist())])
+        # Each distinct value of a block of rows is formatted once.  Values
+        # are told apart by their bits, so -0.0 and 0.0 keep their own text.
+        for start in range(0, len(bits), step):
+            block = bits[start : start + step]
+            distinct, index = np.unique(block, return_inverse=True)
+            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+            cells = text[index.reshape(block.shape)].tolist()
+            writer.writerows([rid, *row] for rid, row in zip(row_ids[start : start + step], cells))
 
 
 def _first_duplicate(ids: tuple[str, ...]) -> str | None:

@@ -3,6 +3,7 @@ import logging
 import pytest
 
 from cdmkit import extract_choice, grade
+from cdmkit.grading import mark, normalize_key
 
 
 # CJK-flavoured outputs mirror the messy transcripts the extractor exists for.
@@ -55,6 +56,16 @@ def test_extraction_failure_logs_and_scores_zero(caplog):
     with caplog.at_level(logging.WARNING, logger="cdmkit.grading"):
         assert grade("∅", "A") == 0
     assert any("could not extract" in r.message for r in caplog.records)
+
+
+def test_mark_is_silent_and_none_when_ungradable(caplog):
+    # aggregate reuses marks across attempts, so mark must log nothing.
+    with caplog.at_level(logging.WARNING, logger="cdmkit"):
+        assert mark("∅", normalize_key("A")) is None
+        assert mark("A", normalize_key("42")) is None
+        assert mark("C,B", normalize_key("cb")) == 1
+        assert mark("B", normalize_key("A")) == 0
+    assert caplog.records == []
 
 
 def test_empty_key_raises():

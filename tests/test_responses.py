@@ -1,3 +1,7 @@
+import csv
+import io
+import logging
+import time
 import warnings
 
 import numpy as np
@@ -7,11 +11,16 @@ from hypothesis import strategies as st
 
 from cdmkit import (
     Attempt,
+    Concept,
+    ConceptCatalog,
     DimensionError,
+    Item,
+    ItemBank,
     ResponseLog,
     ResponseMatrix,
     ValidationError,
     aggregate,
+    grade,
     load_response_logs,
     load_response_matrix,
     save_response_log,
@@ -100,6 +109,26 @@ def test_duplicate_attempt_across_merged_logs(tiny_bank):
         aggregate(
             [_log("m1", ("q1", 0, "A")), _log("m1", ("q1", 0, "B"))], tiny_bank
         )
+
+
+def test_duplicate_check_is_not_quadratic(tiny_bank):
+    # 20k attempts of one model split over two files, two of them repeated.
+    first = ResponseLog("m", tuple(Attempt("q1", a, "A") for a in range(10_000)), source="a.jsonl")
+    second = ResponseLog(
+        "m", tuple(Attempt(i, a, "B") for i in ("q2", "q3") for a in range(5_000))
+        + (Attempt("q1", 7, "C"), Attempt("q1", 3, "D")),
+        source="b.jsonl",
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as caught:
+        aggregate([first, second], tiny_bank, repeats=10_000)
+    elapsed = time.perf_counter() - start
+    assert str(caught.value) == (
+        "a.jsonl, b.jsonl: model 'm': duplicate attempts [('q1', 3), ('q1', 7)]"
+    )
+    # list.count per key took seconds on these 20k attempts; a linear count
+    # takes milliseconds.
+    assert elapsed < 1.0
 
 
 def test_attempt_index_must_fit_repeats(tiny_bank):
@@ -225,3 +254,109 @@ def test_matrix_csv_round_trip_property(tmp_path, case):
     assert back.shape == values.shape
     # Compare bit patterns, so -0.0 and 0.0 differ.
     np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# aggregate against a reference that grades every attempt on its own
+# ---------------------------------------------------------------------------
+
+def _grade_every_attempt(logs, bank, repeats):
+    """aggregate as its contract reads: one grade() call per attempt."""
+    keys = {item.item_id: item.answer_key for item in bank.items}
+    merged = {}
+    for lg in logs:
+        merged.setdefault(lg.model_id, []).extend(lg.entries)
+    model_ids = sorted(merged)
+    scores = np.zeros((len(bank), len(model_ids)))
+    weights = np.zeros_like(scores)
+    for j, model_id in enumerate(model_ids):
+        cells = {}
+        for e in merged[model_id]:
+            cells.setdefault(e.item_id, []).append(grade(e.raw_output, keys[e.item_id]))
+        for item_id, marks in cells.items():
+            i = bank.item_ids.index(item_id)
+            scores[i, j] = sum(marks) / len(marks)
+            weights[i, j] = min(len(marks) / repeats, 1.0)
+    return scores, weights, tuple(model_ids)
+
+
+# q1 and q4 share the output pool under a single- and a multi-letter key, and
+# q5's key holds no choice letter, so every one of its attempts warns.
+_AGG_BANK = ItemBank(
+    items=tuple(
+        Item(iid, "prompt", key, frozenset({"c"}))
+        for iid, key in (("q1", "B"), ("q2", "A"), ("q3", "BC"), ("q4", "cb"), ("q5", "42"))
+    ),
+    catalog=ConceptCatalog((Concept("c", "concept"),)),
+)
+# Few outputs, so they repeat heavily; "∅" and "no idea" never parse.
+_AGG_OUTPUTS = ["B", "答案：B", "B, C", "C,B", "(A)", "A B", "BC", "∅", "no idea", "CASH"]
+
+
+@st.composite
+def _repetitive_logs(draw):
+    logs = []
+    for m in range(draw(st.integers(1, 4))):
+        attempts = draw(st.lists(
+            st.tuples(st.sampled_from(_AGG_BANK.item_ids), st.integers(0, 3),
+                      st.sampled_from(_AGG_OUTPUTS)),
+            max_size=30, unique_by=lambda e: e[:2],
+        ))
+        # Some models come split over two logs, as from two files.
+        cut = draw(st.integers(0, len(attempts)))
+        parts = [attempts[:cut], attempts[cut:]] if draw(st.booleans()) else [attempts]
+        logs.extend(_log(f"m{m}", *part) for part in parts if part)
+    return logs or [_log("m0", ("q5", 0, "∅"))]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([_log("m1", ("q1", 0, "∅"), ("q4", 0, "∅"), ("q5", 0, "B"), ("q1", 1, "∅"),
+               ("q5", 1, "B")),
+          _log("m0", ("q4", 2, "C,B"), ("q1", 2, "∅"))])
+@given(_repetitive_logs())
+def test_aggregate_matches_grading_every_attempt(caplog, logs):
+    with caplog.at_level(logging.WARNING, logger="cdmkit"):
+        caplog.clear()
+        scores, weights, model_ids = _grade_every_attempt(logs, _AGG_BANK, repeats=4)
+        expected = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        rm = aggregate(logs, _AGG_BANK, repeats=4)
+        got = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+    assert rm.model_ids == model_ids
+    # Bit patterns: the same division, not merely close values.
+    np.testing.assert_array_equal(rm.scores.view(np.uint64), scores.view(np.uint64))
+    np.testing.assert_array_equal(rm.weights.view(np.uint64), weights.view(np.uint64))
+    assert got == expected
+
+
+def _matrix_csv_per_cell(matrix, row_ids, col_ids, corner="id"):
+    """The bytes save_matrix_csv must write: csv rows of repr per cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([corner, *col_ids])
+    for rid, row in zip(row_ids, np.asarray(matrix, dtype=np.float64)):
+        writer.writerow([rid, *map(repr, row.tolist())])
+    return buf.getvalue().encode("utf-8")
+
+
+_REPEATED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 2.225073858507201e-308, 1e-5, 0.1])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example((np.array([[0.0, -0.0, 5e-324], [-0.0, 0.0, -5e-324]]), TRICKY_IDS[:2], TRICKY_IDS[2:5]))
+# More cells than one block of rows that share their values' text.
+@example((np.random.default_rng(5).choice([0.0, -0.0, 0.5, 5e-324, 1e16], (700, 100)),
+          [f'r"{i},' for i in range(700)], [f"c{j}" for j in range(100)]))
+@given(st.one_of(
+    _labelled_matrices(),
+    st.tuples(st.integers(1, 6), st.integers(0, 5)).flatmap(lambda shape: st.tuples(
+        st.lists(_REPEATED_VALUES, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda v: np.array(v, dtype=np.float64).reshape(shape)),
+        st.lists(st.sampled_from(TRICKY_IDS), min_size=shape[0], max_size=shape[0], unique=True),
+        st.lists(st.sampled_from(TRICKY_IDS), min_size=shape[1], max_size=shape[1], unique=True),
+    )),
+))
+def test_matrix_csv_bytes_match_per_cell_repr(tmp_path, case):
+    values, row_ids, col_ids = case
+    save_matrix_csv(values, tuple(row_ids), tuple(col_ids), tmp_path / "m.csv")
+    assert (tmp_path / "m.csv").read_bytes() == _matrix_csv_per_cell(values, row_ids, col_ids)
