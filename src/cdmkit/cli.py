@@ -53,7 +53,7 @@ from .responses import (
     load_response_matrix,
     save_response_matrix,
 )
-from .simulate import Q_MODES, RESPONSE_MODES, SimConfig, save_sim_output, simulate
+from .simulate import SimConfig, save_sim_output, simulate
 from .solver import (
     NORMALIZATIONS,
     McfConfig,
@@ -71,7 +71,7 @@ RUNTIME_ERROR = 1
 
 log = logging.getLogger(__name__)
 
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", tuple: "a list of two numbers"}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
 def _is_number(value: object) -> bool:
@@ -82,8 +82,8 @@ def _is_number(value: object) -> bool:
 @dataclass(frozen=True)
 class Option:
     """One option: ``key`` is its config-file and manifest key, and with ``_``
-    written as ``-`` its flag.  ``kind`` is int, float, str or tuple (a pair of
-    numbers); ``field`` names the SimConfig/McfConfig field it feeds, if any.
+    written as ``-`` its flag.  ``kind`` is int, float or str; ``field`` names
+    the SimConfig/McfConfig field it feeds, if any.
     """
 
     key: str
@@ -96,9 +96,7 @@ class Option:
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         kwargs: dict = {"dest": self.key, "help": self.help, "choices": self.choices or None}
-        if self.kind is tuple:
-            kwargs.update(nargs=2, type=float, metavar=("SHAPE", "RATE"))
-        elif self.kind is not str:
+        if self.kind is not str:
             kwargs["type"] = self.kind
         parser.add_argument("--" + self.key.replace("_", "-"), *self.aliases, **kwargs)
 
@@ -109,10 +107,7 @@ class Option:
         """
         if value is None and self.default is None:
             return None
-        numbers = value if self.kind is tuple else (value,)
-        if self.kind is tuple:
-            ok = isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-        elif self.kind is float:
+        if self.kind is float:
             ok = _is_number(value)
         else:
             ok = isinstance(value, self.kind) and not isinstance(value, bool)
@@ -121,9 +116,9 @@ class Option:
             raise FormatError(
                 f"{source}: {self.key} must be {expected}, got {json.dumps(value)}"
             )
-        if self.kind in (float, tuple) and not all(map(math.isfinite, numbers)):
+        if self.kind is float and not math.isfinite(value):
             raise FormatError(f"{source}: {self.key} must be finite, got {json.dumps(value)}")
-        return tuple(map(float, value)) if self.kind is tuple else self.kind(value)
+        return self.kind(value)
 
 
 def _field(cls: type, name: str, key: str | None = None, **kwargs) -> Option:
@@ -171,18 +166,14 @@ SIMULATE_OPTIONS = (
     Option("concepts", int, 70, ("--k",), field="n_concepts"),
     Option("skills", int, 5, ("--t",), field="n_skills"),
     _field(SimConfig, "seed"),
-    _field(SimConfig, "q_mode", choices=Q_MODES),
-    _field(SimConfig, "q_threshold"),
-    _field(SimConfig, "response_mode", choices=RESPONSE_MODES),
-    *(_field(SimConfig, name) for name in ("repeats", "gamma_item", "gamma_model", "gamma_concept")),
     Option("out", str, "sim_out"),
 )
 
 
 def cmd_simulate(eff: dict) -> tuple[list[str], int | None]:
     config = SimConfig(**_fields(SIMULATE_OPTIONS, eff))
-    out = _out_dir(eff)
     sim = simulate(config)
+    out = _out_dir(eff)
     save_sim_output(sim, out)
     print(f"simulated {config.n_items}x{config.n_models} world -> {out}")
     return [], config.seed
@@ -227,10 +218,9 @@ FIT_OPTIONS = (
     Option("qmatrix", str),
     _field(McfConfig, "n_skills", "skills", aliases=("--t",)),
     *(_field(McfConfig, name) for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept")),
-    *(_field(McfConfig, name) for name in ("max_iters", "tol", "epsilon", "seed")),
+    *(_field(McfConfig, name) for name in ("max_iters", "tol", "seed")),
     Option("starts", int, 8),
-    Option("normalization", str, "clip", choices=NORMALIZATIONS),
-    Option("binarize_threshold", float, 0.5),
+    Option("normalization", str, "minmax_global", choices=NORMALIZATIONS),
     Option("out", str, "fit_out"),
 )
 
@@ -272,10 +262,7 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     )
     save_mastery(mm, out)
     predicted = predict_scores(result.factors)
-    report = reconstruction_metrics(
-        predicted.values, matrix.scores, matrix.weights,
-        binarize_threshold=eff["binarize_threshold"],
-    )
+    report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
     write_json(out / "reconstruction.json", report.to_dict())
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,objective\n")
@@ -415,23 +402,24 @@ def cmd_sweep(eff: dict) -> tuple[list[str], int | None]:
     q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", float)
     if not skills_grid or not q_weight_grid:
         raise ValidationError("empty sweep grid")
+    configs = [
+        McfConfig(n_skills=n_skills, q_weight=q_weight, **_fields(SWEEP_OPTIONS, eff))
+        for n_skills in skills_grid
+        for q_weight in q_weight_grid
+    ]
     matrix, qmat, _, inputs = _load_fit_inputs(eff, "sweep")
-    out = _out_dir(eff)
     lines = ["n_skills,q_weight,objective,iterations,converged,accuracy,auc,rmse"]
-    for n_skills in skills_grid:
-        for q_weight in q_weight_grid:
-            config = McfConfig(n_skills=n_skills, q_weight=q_weight, **_fields(SWEEP_OPTIONS, eff))
-            result = multistart_fit(
-                matrix.scores, matrix.weights, qmat, config, starts=eff["starts"]
-            )
-            predicted = predict_scores(result.factors)
-            report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
-            auc_text = "" if report.auc is None else repr(report.auc)
-            lines.append(
-                f"{n_skills},{repr(q_weight)},{repr(result.objective)},"
-                f"{result.iterations_run},{result.converged},"
-                f"{repr(report.accuracy)},{auc_text},{repr(report.rmse)}"
-            )
+    for config in configs:
+        result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
+        predicted = predict_scores(result.factors)
+        report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
+        auc_text = "" if report.auc is None else repr(report.auc)
+        lines.append(
+            f"{config.n_skills},{repr(config.q_weight)},{repr(result.objective)},"
+            f"{result.iterations_run},{result.converged},"
+            f"{repr(report.accuracy)},{auc_text},{repr(report.rmse)}"
+        )
+    out = _out_dir(eff)
     (out / "sweep.csv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"swept {len(skills_grid)}x{len(q_weight_grid)} grid -> {out}")
     return inputs, eff["seed"]

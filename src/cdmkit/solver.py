@@ -80,6 +80,8 @@ from .responses import load_matrix_csv, save_matrix_csv
 log = logging.getLogger(__name__)
 
 NORMALIZATIONS = ("clip", "minmax_global")
+# Added to every multiplicative-update denominator so that none is zero.
+EPSILON = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class McfConfig:
     ridge_concept: float = 0.01
     max_iters: int = 2000
     tol: float = 1e-4
-    epsilon: float = 1e-12
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,9 +106,8 @@ class McfConfig:
                 raise ValidationError(f"{name} must be finite and >= 0")
         if self.max_iters < 0:
             raise ValidationError("max_iters must be >= 0")
-        for name in ("tol", "epsilon"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and > 0")
+        if not 0 < self.tol < math.inf:
+            raise ValidationError("tol must be finite and > 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -337,7 +337,6 @@ def fit(
     n_concepts = qmat.shape[1]
     beta = config.q_weight
     le, lu, lv = config.ridge_item, config.ridge_model, config.ridge_concept
-    eps = config.epsilon
 
     e, u, v = _init_factors(n_items, n_models, n_concepts, config)
     w2 = weights * weights
@@ -352,12 +351,12 @@ def fit(
     iterations = 0
     for it in range(config.max_iters):
         e = e * ((w2x @ u.T + beta * (qmat @ v.T)) /
-                 ((w2 * eu) @ u.T + beta * (e @ vvt) + le * e + eps))
+                 ((w2 * eu) @ u.T + beta * (e @ vvt) + le * e + EPSILON))
         eu = e @ u
-        u = u * ((e.T @ w2x) / (e.T @ (w2 * eu) + lu * u + eps))
+        u = u * ((e.T @ w2x) / (e.T @ (w2 * eu) + lu * u + EPSILON))
         ete = e.T @ e
         etq = e.T @ qmat
-        v = v * ((beta * etq) / (beta * (ete @ v) + lv * v + eps))
+        v = v * ((beta * etq) / (beta * (ete @ v) + lv * v + EPSILON))
         for name, m in (("item", e), ("model", u), ("concept", v)):
             if not np.isfinite(m).all():
                 raise NumericalError(f"non-finite {name} factor at iteration {it}")
@@ -422,7 +421,7 @@ def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
 
 def mastery(
     factors: FactorSet,
-    normalization: str = "clip",
+    normalization: str = "minmax_global",
     model_ids: tuple[str, ...] | None = None,
     concept_ids: tuple[str, ...] | None = None,
 ) -> MasteryMatrix:

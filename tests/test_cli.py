@@ -15,13 +15,13 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_parser, main
-from cdmkit.errors import FormatError, ValidationError
+from cdmkit.errors import DegenerateDataError, FormatError, ValidationError
 from cdmkit.manifest import read_json
 from cdmkit.metrics import concept_counts
 from cdmkit.responses import (
     aggregate, load_matrix_csv, load_response_logs, load_response_matrix, save_matrix_csv,
 )
-from cdmkit.simulate import SimConfig
+from cdmkit.simulate import SimConfig, recovery_score, simulate
 from cdmkit.solver import MasteryMatrix, McfConfig, load_mastery, save_mastery
 
 SIM_ARGS = [
@@ -110,10 +110,15 @@ def test_config_file_precedence(tmp_path, monkeypatch):
     assert cfg["concepts"] == 5
 
 
-# The fit and grade keys were options once; an old manifest's config holding them exits 2.
+# Every key but itemz was an option once; an old manifest's config holding it exits 2.
 @pytest.mark.parametrize("command, config, key", [
     pytest.param("simulate", {"itemz": 9}, "itemz", id="simulate itemz"),
+    pytest.param("simulate", {"q_mode": "threshold"}, "q_mode", id="simulate q_mode"),
+    pytest.param("simulate", {"gamma_item": [0.4, 1 / 3]}, "gamma_item", id="simulate gamma_item"),
     pytest.param("fit", {"init": "gamma_prior"}, "init", id="fit init"),
+    pytest.param("fit", {"epsilon": 1e-12}, "epsilon", id="fit epsilon"),
+    pytest.param("fit", {"binarize_threshold": 0.5}, "binarize_threshold",
+                 id="fit binarize_threshold"),
     pytest.param("grade", {"rule": "choice-letter"}, "rule", id="grade rule"),
 ])
 def test_config_file_unknown_key(tmp_path, monkeypatch, capsys, command, config, key):
@@ -139,13 +144,6 @@ PINNED_OPTIONS = {
         "concepts": (["--concepts", "--k"], int, None, None, 70),
         "skills": (["--skills", "--t"], int, None, None, 5),
         "seed": (["--seed"], int, None, None, 0),
-        "q_mode": (["--q-mode"], None, None, ["threshold", "bernoulli"], "threshold"),
-        "q_threshold": (["--q-threshold"], float, None, None, 0.92),
-        "response_mode": (["--response-mode"], None, None, ["mean", "bernoulli"], "mean"),
-        "repeats": (["--repeats"], int, None, None, 10),
-        "gamma_item": (["--gamma-item"], float, 2, None, [0.4, 1 / 3]),
-        "gamma_model": (["--gamma-model"], float, 2, None, [8.0, 10.0]),
-        "gamma_concept": (["--gamma-concept"], float, 2, None, [0.2, 0.16]),
         "out": (["--out"], None, None, None, "sim_out"),
     },
     "grade": {
@@ -165,11 +163,10 @@ PINNED_OPTIONS = {
         "ridge_concept": (["--ridge-concept"], float, None, None, 0.01),
         "max_iters": (["--max-iters"], int, None, None, 2000),
         "tol": (["--tol"], float, None, None, 1e-4),
-        "epsilon": (["--epsilon"], float, None, None, 1e-12),
         "seed": (["--seed"], int, None, None, 0),
         "starts": (["--starts"], int, None, None, 8),
-        "normalization": (["--normalization"], None, None, ["clip", "minmax_global"], "clip"),
-        "binarize_threshold": (["--binarize-threshold"], float, None, None, 0.5),
+        "normalization": (["--normalization"], None, None, ["clip", "minmax_global"],
+                          "minmax_global"),
         "out": (["--out"], None, None, None, "fit_out"),
     },
     "diagnose": {
@@ -239,35 +236,27 @@ BAD_CONFIGS = [
     ("int from string", ["fit"], {"skills": "abc"}, "skills", 'must be an integer, got "abc"'),
     ("int from float", ["fit"], {"skills": 3.7}, "skills", "must be an integer, got 3.7"),
     ("int from bool", ["sweep"], {"max_iters": True}, "max_iters", "must be an integer, got true"),
-    ("int from string (simulate)", ["simulate"], {"repeats": "x"}, "repeats", "must be an integer"),
-    ("number from null", ["fit"], {"epsilon": None}, "epsilon", "must be a number, got null"),
+    ("int from string (simulate)", ["simulate"], {"items": "x"}, "items", "must be an integer"),
+    ("number from null", ["fit"], {"tol": None}, "tol", "must be a number, got null"),
     ("number from string", ["fit"], {"q_weight": "1"}, "q_weight", 'must be a number, got "1"'),
     ("number from bool", ["diagnose"], {"threshold": False}, "threshold", "must be a number"),
     ("number too large for a float", ["fit"], {"tol": 10**400}, "tol", "must be a number"),
-    ("pair from scalar", ["simulate"], {"gamma_item": 5}, "gamma_item",
-     "must be a list of two numbers, got 5"),
-    ("pair of three", ["simulate"], {"gamma_concept": [1, 2, 3]}, "gamma_concept",
-     "must be a list of two numbers"),
-    ("pair with a string", ["simulate"], {"gamma_model": [1, "2"]}, "gamma_model",
-     "must be a list of two numbers"),
     ("string from list", ["sweep"], {"skills_grid": [4, 8]}, "skills_grid",
      "must be a string, got [4, 8]"),
     ("path from number", ["fit"], {"weights": 3}, "weights", "must be a string, got 3"),
-    ("q_mode", ["simulate"], {"q_mode": "bogus"}, "q_mode",
-     "must be one of ['threshold', 'bernoulli']"),
-    ("response_mode", ["simulate"], {"response_mode": "bogus"}, "response_mode",
-     "must be one of ['mean', 'bernoulli']"),
+    ("choice from number", ["fit"], {"normalization": 1}, "normalization",
+     "must be one of ['clip', 'minmax_global'], got 1"),
+    ("choice from null", ["agreement"], {"distance": None}, "distance",
+     "must be one of ['nominal', 'jaccard'], got null"),
     ("normalization", ["fit"], {"normalization": "bogus"}, "normalization",
      "must be one of ['clip', 'minmax_global'], got \"bogus\""),
     ("distance", ["agreement"], {"distance": "cosine"}, "distance",
      "must be one of ['nominal', 'jaccard']"),
-    ("NaN number", ["fit"], {"binarize_threshold": math.nan}, "binarize_threshold",
-     "must be finite, got NaN"),
-    ("infinite number", ["fit"], {"epsilon": math.inf}, "epsilon", "must be finite, got Infinity"),
+    ("NaN number", ["fit"], {"q_weight": math.nan}, "q_weight", "must be finite, got NaN"),
+    ("infinite number", ["fit"], {"ridge_item": math.inf}, "ridge_item",
+     "must be finite, got Infinity"),
     ("infinite number (sweep)", ["sweep"], {"tol": -math.inf}, "tol",
      "must be finite, got -Infinity"),
-    ("pair with an infinity", ["simulate"], {"gamma_model": [1, math.inf]}, "gamma_model",
-     "must be finite, got [1, Infinity]"),
 ]
 INPUT_FLAGS = {
     "fit": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
@@ -483,6 +472,26 @@ def test_fit_zero_iterations_emits_initial_objective_only(tmp_path, monkeypatch)
     lines = (tmp_path / "f0" / "trace.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("0,")
+
+
+def test_fit_default_mastery_passes_gate_2(tmp_path, monkeypatch):
+    # Gate 2 scores the library's mastery; this scores the mastery.json that
+    # `cdmkit fit` writes with no --normalization, on the same five worlds.
+    monkeypatch.chdir(tmp_path)
+    rhos = []
+    for seed in (7, 11, 13, 17, 19):
+        world = ["--items", "210", "--models", "30", "--concepts", "70", "--skills", "5"]
+        assert main(["simulate", *world, "--seed", str(seed), "--out", f"sim{seed}"]) == 0
+        assert main([
+            "fit", "--scores", f"sim{seed}/scores.csv", "--weights", f"sim{seed}/weights.csv",
+            "--qmatrix", f"sim{seed}/qmatrix.csv", "--skills", "5", "--seed", str(seed),
+            "--out", f"fit{seed}",
+        ]) == 0
+        mm = load_mastery(tmp_path / f"fit{seed}" / "mastery.json")
+        assert mm.normalization == "minmax_global"
+        truth = simulate(SimConfig(n_items=210, n_models=30, n_concepts=70, n_skills=5, seed=seed))
+        rhos.append(recovery_score(mm, truth).overall)
+    assert sum(rho >= 0.9 for rho in rhos) >= 4, rhos
 
 
 def test_fit_row_count_mismatch_names_both_files(tmp_path, monkeypatch, capsys):
@@ -856,13 +865,18 @@ MALFORMED = [
      lambda root: load_item_bank(root / "items.csv"),
      FormatError, ["grade", "--bank", "items.csv", "--logs", "*.jsonl", "--out", "g"], 2,
      "concepts.csv", "concepts.csv:3: concept row ['c1'] needs id and label"),
-    ("infinite epsilon flag", lambda root: None, lambda root: McfConfig(epsilon=math.inf),
-     ValidationError, FIT_ARGV + ["--epsilon", "inf"], 2, "command line",
-     "epsilon must be finite"),
-    ("NaN gamma flag", lambda root: None,
-     lambda root: SimConfig(6, 3, 4, 2, gamma_item=(math.nan, 1.0)),
-     ValidationError, ["simulate", "--gamma-item", "nan", "1", "--out", "s"], 2, "command line",
-     "gamma_item must be finite"),
+    ("infinite tol flag", lambda root: None, lambda root: McfConfig(tol=math.inf),
+     ValidationError, FIT_ARGV + ["--tol", "inf"], 2, "command line", "tol must be finite"),
+    # Every config is built, and every result computed, before --out is created.
+    ("simulate resample exhaustion", lambda root: None,
+     lambda root: simulate(SimConfig(3, 2, 1, 1, seed=3)),
+     DegenerateDataError,
+     ["simulate", "--items", "3", "--models", "2", "--concepts", "1", "--skills", "1",
+      "--seed", "3", "--out", "s"], 1, "", "could not find an item factor meeting the tag threshold"),
+    ("sweep zero skills", lambda root: None, lambda root: McfConfig(n_skills=0),
+     ValidationError,
+     ["sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2,0",
+      "--out", "sw"], 2, "", "n_skills must be >= 1"),
     # Rejected by SimConfig before any array is allocated.
     ("oversized simulate flag", lambda root: None, lambda root: SimConfig(10**30, 3, 4, 2),
      ValidationError, ["simulate", "--items", str(10**30), "--out", "s"], 2, "n_items",

@@ -12,7 +12,7 @@ from cdmkit import (
     save_sim_output,
     simulate,
 )
-from cdmkit.simulate import MAX_MATRIX_ELEMENTS, sigmoid
+from cdmkit.simulate import GAMMA_ITEM, MAX_MATRIX_ELEMENTS, REPEATS, sigmoid
 
 
 def _small(seed=0, **overrides):
@@ -41,21 +41,15 @@ def test_different_seeds_differ():
 
 
 def test_q_rows_are_binary_and_nonempty():
-    for mode in ("threshold", "bernoulli"):
-        sim = simulate(_small(seed=5, q_mode=mode))
-        assert set(np.unique(sim.qmat)) <= {0.0, 1.0}
-        assert sim.qmat.sum(axis=1).min() >= 1
+    sim = simulate(_small(seed=5))
+    assert set(np.unique(sim.qmat)) <= {0.0, 1.0}
+    assert sim.qmat.sum(axis=1).min() >= 1
 
 
 def test_mean_mode_scores_on_grid():
-    sim = simulate(_small(seed=3, repeats=10))
-    grid = {round(i / 10, 10) for i in range(11)}
+    sim = simulate(_small(seed=3))
+    grid = {round(i / REPEATS, 10) for i in range(REPEATS + 1)}
     assert {round(float(v), 10) for v in sim.scores.ravel()} <= grid
-
-
-def test_bernoulli_mode_scores_binary():
-    sim = simulate(_small(seed=3, response_mode="bernoulli"))
-    assert set(np.unique(sim.scores)) <= {0.0, 1.0}
 
 
 def test_empirical_mean_tracks_response_probability():
@@ -65,26 +59,26 @@ def test_empirical_mean_tracks_response_probability():
     sim = simulate(config)
     p = sim.p_response
     n_cells = p.size
-    se_of_mean = float(np.sqrt((p * (1 - p)).sum() / config.repeats) / n_cells)
+    se_of_mean = float(np.sqrt((p * (1 - p)).sum() / REPEATS) / n_cells)
     assert abs(sim.scores.mean() - p.mean()) <= 3 * se_of_mean
 
 
-def test_flat_gamma_prior_mean():
-    # Gamma(1,1) has mean 1; check the sampled item factor block at 1e5 draws.
-    config = SimConfig(
-        n_items=5000, n_models=2, n_concepts=3, n_skills=20, seed=6,
-        gamma_item=(1.0, 1.0),
-    )
+def test_item_prior_mean():
+    # Gamma(shape, rate) has mean shape/rate and variance shape/rate**2; check
+    # the sampled item factor block at 1e5 draws.  With 20 skills every item
+    # tags a concept at its first draw, so no row is redrawn.
+    config = SimConfig(n_items=5000, n_models=2, n_concepts=3, n_skills=20, seed=6)
     sim = simulate(config)
     draws = sim.true_factors.item_skill.ravel()
     assert draws.size == 100_000
-    assert abs(draws.mean() - 1.0) <= 3.0 / np.sqrt(draws.size)
+    shape, rate = GAMMA_ITEM
+    assert abs(draws.mean() - shape / rate) <= 3.0 * np.sqrt(shape) / rate / np.sqrt(draws.size)
 
 
 def test_threshold_resample_exhaustion_errors():
-    # Near-zero concept loadings keep every tag probability at ~0.5, far below
-    # the threshold, so row resampling must give up with a diagnostic.
-    config = _small(n_items=3, gamma_concept=(0.1, 1000.0))
+    # One small concept loading keeps every tag probability below the
+    # threshold, so row resampling must give up with a diagnostic.
+    config = SimConfig(n_items=3, n_models=2, n_concepts=1, n_skills=1, seed=3)
     with pytest.raises(DegenerateDataError, match="threshold"):
         simulate(config)
 
@@ -94,12 +88,12 @@ def test_threshold_resample_exhaustion_errors():
     [
         {"n_items": 0},
         {"n_skills": 0},
-        {"q_threshold": 0.0},
-        {"q_threshold": 1.0},
-        {"q_mode": "fancy"},
-        {"response_mode": "median"},
-        {"repeats": 0},
-        {"gamma_model": (1.0, 0.0)},
+        {"n_models": 0},
+        {"n_concepts": 0},
+        {"n_items": -1},
+        {"n_models": 10**30},
+        {"n_concepts": 10**30},
+        {"n_skills": 10**30},
         {"n_items": 10**30},
     ],
 )

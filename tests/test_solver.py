@@ -23,7 +23,7 @@ from cdmkit import (
     save_mastery,
     simulate,
 )
-from cdmkit.solver import NORMALIZATIONS, _init_factors
+from cdmkit.solver import EPSILON, NORMALIZATIONS, _init_factors
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -90,7 +90,7 @@ def _fit_reference(scores, weights, qmat, config):
     """
     beta = config.q_weight
     le, lu, lv = config.ridge_item, config.ridge_model, config.ridge_concept
-    eps = config.epsilon
+    eps = EPSILON
     e, u, v = _init_factors(*scores.shape, qmat.shape[1], config)
     w2 = weights * weights
 
@@ -408,9 +408,9 @@ def test_mastery_raw_is_exact_product():
 
 def test_mastery_clip_mode():
     f = FactorSet(np.ones((1, 1)), np.array([[1.0]]), np.array([[0.9]]))
-    assert mastery(f).prob[0, 0] == pytest.approx(0.9)
+    assert mastery(f, normalization="clip").prob[0, 0] == pytest.approx(0.9)
     f_hot = FactorSet(np.ones((1, 1)), np.array([[1.4]]), np.array([[1.0]]))
-    m = mastery(f_hot)
+    m = mastery(f_hot, normalization="clip")
     assert m.raw[0, 0] == pytest.approx(1.4)
     assert m.prob[0, 0] == 1.0
 
@@ -457,13 +457,13 @@ def test_mastery_unknown_mode_rejected():
         {"q_weight": -0.1},
         {"ridge_model": -1.0},
         {"tol": 0.0},
-        {"epsilon": 0.0},
+        {"ridge_concept": -1.0},
         {"max_iters": -1},
         {"q_weight": float("nan")},
         {"q_weight": float("inf")},
         {"ridge_item": float("nan")},
         {"tol": float("nan")},
-        {"epsilon": float("nan")},
+        {"tol": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
@@ -543,7 +543,7 @@ def test_mastery_bundle_round_trip_property(tmp_path, m):
 def test_mastery_bundle_unknown_tag(tmp_path):
     rng = np.random.default_rng(33)
     f = FactorSet(rng.random((2, 1)), rng.random((1, 2)), rng.random((1, 2)))
-    save_mastery(mastery(f), tmp_path)
+    save_mastery(mastery(f, normalization="clip"), tmp_path)
     text = (tmp_path / "mastery.json").read_text().replace('"clip"', '"softmax"')
     (tmp_path / "mastery.json").write_text(text)
     with pytest.raises(ValidationError, match="unknown normalization 'softmax'"):
