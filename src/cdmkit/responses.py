@@ -61,15 +61,26 @@ class ResponseLog:
 _RECORD_KEYS = ("model", "item", "attempt", "output")
 _RECORD_TYPES = (str, str, int, str)
 _TYPE_NAMES = {str: "a string", int: "an integer"}
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def load_response_logs(path: str | Path) -> list[ResponseLog]:
     """Read a JSONL file of attempts; returns one log per model (file order).
 
-    Each non-empty line is a JSON object with string ``model``, ``item`` and
-    ``output`` and an integer ``attempt`` (not a boolean).  A line that is not
-    such an object is a ``FormatError`` ``<file>:<line>: ...``; a negative or
-    repeated attempt is a ``ValidationError`` naming the file.
+    Each non-empty line holds exactly one JSON object, with string ``model``,
+    ``item`` and ``output`` and an integer ``attempt`` (not a boolean);
+    whitespace around it is ignored.  A line that is not such an object is a
+    ``FormatError`` ``<file>:<line>: ...``; a negative or repeated attempt is
+    a ``ValidationError`` naming the file.
+
+    Each stripped line is decoded with one ``JSONDecoder.raw_decode`` call,
+    which skips the Python layers of ``json.loads`` (a BOM check and two
+    whitespace regex matches per line, costlier than the C scanner under
+    them), and the record is taken only when the object ends the line.  Any
+    other line goes to ``json.loads``, which rejects it too, as a stripped
+    line has no edge whitespace to skip, and raises the error in json's
+    usual words: ``raw_decode`` calls a BOM "Expecting value" and does not
+    look for "Extra data" after the object.
     """
     by_model: dict[str, list[Attempt]] = {}
     with open_text(path) as fh:
@@ -78,7 +89,12 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                try:
+                    rec, end = _raw_decode(line)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(line):
+                    rec = json.loads(line)
                 model, item, index, output = (
                     rec["model"], rec["item"], rec["attempt"], rec["output"]
                 )

@@ -775,7 +775,7 @@ def _bank_and_log(*lines):
     """Case setup: a valid bank.json and log.jsonl holding ``lines``."""
     def setup(root):
         _write_bank(root)
-        (root / "log.jsonl").write_text("".join(line + "\n" for line in lines))
+        (root / "log.jsonl").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return setup
 
 
@@ -888,6 +888,23 @@ MALFORMED = [
     ("mastery invalid JSON", _write("mastery.json", "{"),
      lambda root: load_mastery(root / "mastery.json"),
      FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery.json: invalid JSON"),
+    # JSONL lines: each non-empty one holds one JSON object; errors in json.loads' words.
+    *((f"log {case}", _bank_and_log(*lines), _load_log, FormatError, GRADE_ARGV, 2, "log.jsonl",
+       f"log.jsonl:{lineno}: bad attempt record ({error})")
+      for case, lines, lineno, error in (
+          ("not JSON", ["not JSON"], 1,
+           "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')"),
+          ("trailing text", [LOG_RECORD, LOG_RECORD.replace("0", "1") + " x"], 2,
+           "JSONDecodeError('Extra data: line 1 column 61 (char 60)')"),
+          ("array", ['["gpt", "q1", 0, "A"]'], 1,
+           "TypeError('list indices must be integers or slices, not str')"),
+          ("missing output", [LOG_RECORD.replace(', "output": "A"', "")], 1, "KeyError('output')"),
+          ("BOM", ["\ufeff" + LOG_RECORD], 1,
+           "JSONDecodeError('Unexpected UTF-8 BOM (decode using utf-8-sig): "
+           "line 1 column 1 (char 0)')"),
+          ("record split across lines", LOG_RECORD.split(' "A"'), 1,
+           "JSONDecodeError('Expecting value: line 1 column 55 (char 54)')"),
+      )),
     # JSONL attempt records: string model, item and output; a JSON integer attempt.
     ("log output not a string", _bank_and_log(LOG_RECORD.replace('"A"', "5")), _load_log,
      FormatError, GRADE_ARGV, 2, "log.jsonl", "log.jsonl:1: output must be a string, got 5"),

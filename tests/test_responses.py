@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import logging
 import time
 import warnings
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cdmkit.responses
 from cdmkit import (
     Attempt,
     Concept,
     ConceptCatalog,
     DimensionError,
+    FormatError,
     Item,
     ItemBank,
     ResponseLog,
@@ -26,6 +29,7 @@ from cdmkit import (
     save_response_log,
     save_response_matrix,
 )
+from cdmkit.manifest import open_text
 from cdmkit.responses import load_matrix_csv, save_matrix_csv
 
 
@@ -176,6 +180,141 @@ def test_jsonl_bad_record_names_line(tmp_path):
     path.write_text('{"model": "m", "item": "q1", "attempt": 0, "output": "A"}\n{"oops": 1}\n')
     with pytest.raises(Exception, match=r":2:"):
         load_response_logs(path)
+
+
+def _load_response_logs_per_line_loads(path):
+    """The reference loader: one ``json.loads`` per stripped line."""
+    by_model = {}
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                model, item, index, output = (
+                    rec["model"], rec["item"], rec["attempt"], rec["output"]
+                )
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise FormatError(f"{path}:{lineno}: bad attempt record ({exc!r})") from exc
+            if (type(model), type(item), type(index), type(output)) != (str, str, int, str):
+                key, kind = next(
+                    (key, kind)
+                    for key, kind in zip(("model", "item", "attempt", "output"),
+                                         (str, str, int, str))
+                    if type(rec[key]) is not kind
+                )
+                kind_name = {str: "a string", int: "an integer"}[kind]
+                raise FormatError(
+                    f"{path}:{lineno}: {key} must be {kind_name}, got {json.dumps(rec[key])}"
+                )
+            by_model.setdefault(model, []).append(Attempt(item, index, output))
+    try:
+        return [
+            ResponseLog(model, tuple(entries), source=str(path))
+            for model, entries in by_model.items()
+        ]
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+# Attempt values as written in the JSON text, valid or not.
+_ATTEMPT_TOKENS = [
+    *["0", "1", "2", "3", "-0"] * 6, "-1", "NaN", "1.7", "true", "null", '"0"', "1e0",
+]
+
+
+@st.composite
+def _record_text(draw):
+    """One attempt record as JSON text: any key order and spacing, now and
+    then a repeated or a missing key, and attempts that are not JSON integers."""
+    fields = [
+        ("model", json.dumps(draw(st.sampled_from(["m1", "m2", "\ufeff"])))),
+        ("item", json.dumps(draw(st.sampled_from(["q1", "q2"])))),
+        ("attempt", draw(st.sampled_from(_ATTEMPT_TOKENS))),
+        ("output", json.dumps(draw(_text | st.sampled_from(TRICKY_TEXT)),
+                              ensure_ascii=draw(st.booleans()))),
+    ]
+    if draw(st.integers(0, 7)) == 0:
+        key = draw(st.sampled_from([k for k, _ in fields]))
+        fields.append((key, draw(st.sampled_from(['"m1"', "3", '"x"']))))
+    if draw(st.integers(0, 7)) == 0:
+        fields.pop(draw(st.integers(0, len(fields) - 1)))
+    fields = draw(st.permutations(fields))
+    sep, colon = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " : ")]))
+    return "{" + sep.join(f'"{key}"{colon}{value}' for key, value in fields) + "}"
+
+
+@st.composite
+def _jsonl_lines(draw):
+    """The lines of one record, a mangled record, or something else entirely."""
+    record = draw(_record_text())
+    kind = draw(st.sampled_from(
+        ["record"] * 12 + ["blank", "padded", "bom", "junk", "non-object", "split"]
+    ))
+    if kind == "blank":
+        return [draw(st.sampled_from(["", " ", "\t \t", "\x0c", "\x85", "\u2028"]))]
+    if kind == "padded":
+        pad = st.sampled_from([" ", "\t", " \t ", "\x85", "\xa0", "\u3000"])
+        return [draw(pad) + record + draw(pad)]
+    if kind == "bom":
+        return ["\ufeff" + record]
+    if kind == "junk":
+        return [record + draw(st.sampled_from([" x", "}", " {}", ",", "]", " \"\"", "\x00"]))]
+    if kind == "non-object":
+        return [draw(st.sampled_from(["[1, 2]", "[]", "1", '"s"', "null", "true", "NaN"]))]
+    if kind == "split":
+        cut = draw(st.integers(1, len(record) - 1))
+        return [record[:cut], record[cut:]]
+    return [record]
+
+
+@st.composite
+def _jsonl_file(draw):
+    lines = [line for chunk in draw(st.lists(_jsonl_lines(), max_size=8)) for line in chunk]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def _load_outcome(load, path):
+    try:
+        logs = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return logs, [lg.source for lg in logs]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example('{"model": "m1", "item": "q1", "attempt": 0, "output": "A"}\r\n\r\n'
+         ' {"item": "q2", "model": "m1", "output": "\u2028", "attempt": 1}\t\n')
+@example('{"model": "m1", "item": "q1", "attempt": 0, "output": "A"}\n'
+         '\ufeff{"model": "m1", "item": "q1", "attempt": 1, "output": "A"}\n')
+@example('{"model": "m1", "model": "m2", "item": "q1", "attempt": 0, "output": "A"} x\n')
+@example('{"model": "m1", "item": "q1", "attempt": NaN, "output": "A"}\n')
+@example('{"model": "m1", "item": "q1",\n "attempt": 0, "output": "A"}\n')
+@given(_jsonl_file())
+def test_load_response_logs_matches_per_line_loads(tmp_path, text):
+    path = tmp_path / "log.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert _load_outcome(load_response_logs, path) == _load_outcome(
+        _load_response_logs_per_line_loads, path
+    )
+
+
+def test_valid_log_never_calls_json_loads(tmp_path, monkeypatch):
+    log = _log("m1", *[(f"q{k}", k, text) for k, text in enumerate(TRICKY_TEXT)])
+    path = tmp_path / "log.jsonl"
+    save_response_log(log, path)
+    # Edge whitespace and CRLF line ends, which a stripped line drops.
+    path.write_bytes(b"\r\n".join(b" \t" + line + b" " for line in path.read_bytes().split(b"\n")))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads reached on a valid line")
+
+    monkeypatch.setattr(cdmkit.responses.json, "loads", refuse)
+    assert load_response_logs(path) == [log]
 
 
 def test_matrix_round_trip_is_bit_exact(tmp_path):
