@@ -86,11 +86,11 @@ class ItemBank:
             if item.item_id in seen:
                 raise ValidationError(f"duplicate item id {item.item_id!r}")
             seen.add(item.item_id)
-            for tag in sorted(item.concept_tags):
-                if tag not in known:
-                    raise ValidationError(
-                        f"item {item.item_id!r}: unknown concept tag {tag!r}"
-                    )
+            unknown = item.concept_tags - known
+            if unknown:
+                raise ValidationError(
+                    f"item {item.item_id!r}: unknown concept tag {min(unknown)!r}"
+                )
             tagged |= item.concept_tags
         # Concepts nobody tags are legal but worth surfacing to callers.
         object.__setattr__(

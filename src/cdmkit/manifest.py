@@ -31,7 +31,12 @@ def write_json(path: str | Path, payload: object) -> None:
     """Write ``payload`` to ``path`` as ``json.dumps`` with ``indent=2`` and
     ``sort_keys=True`` would, and a newline, byte for byte.  It is written as
     it is encoded: the whole document is never held in memory.  If encoding
-    fails, no file is left at ``path``."""
+    fails, no file is left at ``path``.
+
+    A list, tuple or dict that holds another one is written item by item;
+    whether it does is checked once per distinct type of its items, and a
+    subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a container,
+    as it does for json."""
     path = Path(path)
     fh = open(path, "w", encoding="utf-8")
     try:
@@ -54,7 +59,7 @@ def _write_value(
     is_dict = isinstance(value, dict)
     children = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
     inner = "\n" + "  " * (depth + 1)
-    if not any(isinstance(child, _CONTAINERS) for child in children):
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
         text = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode(value)
         if children:  # json puts the brackets of a non-empty container on lines of their own
             text = f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
@@ -98,11 +103,16 @@ def open_text(path: str | Path) -> Iterator[TextIO]:
 
 
 def read_json(path: str | Path) -> dict:
-    """The JSON object in ``path``, or a ``FormatError`` naming the file."""
+    """The JSON object in ``path``, or a ``FormatError`` naming the file.
+    Besides ``JSONDecodeError``, json raises ``ValueError`` past its integer
+    digit limit and ``RecursionError`` on deep nesting; both are invalid JSON
+    here too."""
     with open_text(path) as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:
+            raise  # open_text names it
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")

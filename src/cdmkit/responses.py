@@ -70,7 +70,8 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
     Each non-empty line holds exactly one JSON object, with string ``model``,
     ``item`` and ``output`` and an integer ``attempt`` (not a boolean);
     whitespace around it is ignored.  A line that is not such an object is a
-    ``FormatError`` ``<file>:<line>: ...``; a negative or repeated attempt is
+    ``FormatError`` ``<file>:<line>: ...``, json's ``ValueError`` and
+    ``RecursionError`` included; a negative or repeated attempt is
     a ``ValidationError`` naming the file.
 
     Each stripped line is decoded with one ``JSONDecoder.raw_decode`` call,
@@ -98,7 +99,7 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
                 model, item, index, output = (
                     rec["model"], rec["item"], rec["attempt"], rec["output"]
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad attempt record ({exc!r})") from exc
             # type(), not isinstance(): a JSON true is a bool, and bool is an int.
             if (type(model), type(item), type(index), type(output)) != _RECORD_TYPES:

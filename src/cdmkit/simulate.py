@@ -219,9 +219,7 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
             item_id=item_ids[i],
             prompt=f"synthetic question {i}",
             answer_key="A",
-            concept_tags=frozenset(
-                concept_ids[kk] for kk in np.flatnonzero(sim.qmat[i])
-            ),
+            concept_tags=frozenset(itertools.compress(concept_ids, sim.qmat[i].tolist())),
         )
         for i in range(m)
     )

@@ -65,6 +65,12 @@ def test_unknown_tag_names_offender(tiny_bank):
         ItemBank(items=tiny_bank.items + (rogue,), catalog=tiny_bank.catalog)
 
 
+def test_unknown_tags_name_the_least(tiny_bank):
+    rogue = Item("q9", "", "A", frozenset({"zz", "aa"}))
+    with pytest.raises(ValidationError, match="q9': unknown concept tag 'aa'"):
+        ItemBank(items=tiny_bank.items + (rogue,), catalog=tiny_bank.catalog)
+
+
 def test_duplicate_concept_ids_rejected():
     with pytest.raises(ValidationError, match="duplicate concept id"):
         ConceptCatalog((Concept("c", "x"), Concept("c", "y")))

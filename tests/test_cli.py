@@ -905,6 +905,13 @@ MALFORMED = [
           ("record split across lines", LOG_RECORD.split(' "A"'), 1,
            "JSONDecodeError('Expecting value: line 1 column 55 (char 54)')"),
       )),
+    # json's errors that are not a JSONDecodeError; their messages go on past the prefix.
+    ("log attempt of 5,000 digits", _bank_and_log(LOG_RECORD.replace("0", "9" * 5000)),
+     _load_log, FormatError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl:1: bad attempt record (ValueError('Exceeds the limit (4300 digits)"),
+    ("log line of 100,000 brackets", _bank_and_log("[" * 100_000), _load_log,
+     FormatError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl:1: bad attempt record (RecursionError('maximum recursion depth exceeded"),
     # JSONL attempt records: string model, item and output; a JSON integer attempt.
     ("log output not a string", _bank_and_log(LOG_RECORD.replace('"A"', "5")), _load_log,
      FormatError, GRADE_ARGV, 2, "log.jsonl", "log.jsonl:1: output must be a string, got 5"),
@@ -925,6 +932,12 @@ MALFORMED = [
     ("log attempt past repeats across files", _two_logs(LOG_RECORD, LOG_RECORD.replace("0", "10")),
      _aggregate_two_logs, ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
      "b.jsonl: model 'gpt': attempt index >= repeats (10) on ['q1']"),
+    ("config of 5,000 digits", _write("cfg.json", '{"max_iters": ' + "9" * 5000 + "}"),
+     lambda root: read_json(root / "cfg.json"), FormatError, [*FIT_ARGV, "--config", "cfg.json"],
+     2, "cfg.json", "cfg.json: invalid JSON (Exceeds the limit (4300 digits)"),
+    ("config of 100,000 brackets", _write("cfg.json", "[" * 100_000),
+     lambda root: read_json(root / "cfg.json"), FormatError, [*FIT_ARGV, "--config", "cfg.json"],
+     2, "cfg.json", "cfg.json: invalid JSON (maximum recursion depth exceeded"),
     # One file per reader that is not UTF-8.
     _not_utf8("cfg.json", lambda root: read_json(root / "cfg.json"),
               [*FIT_ARGV, "--config", "cfg.json"]),

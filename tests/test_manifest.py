@@ -2,6 +2,8 @@ import json
 import math
 import re
 import tracemalloc
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,10 +23,23 @@ _scalars = (
 )
 
 
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+class _List(list):
+    pass
+
+
 def _containers(children):
     return (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)
+        # Subclasses are containers too: json writes them as their base type.
+        | st.tuples(children, children).map(lambda pair: _Pair(*pair))
+        | st.lists(children, max_size=4).map(_List)
+        | st.dictionaries(_text, children, max_size=4).map(OrderedDict)
         | st.dictionaries(_text, children, max_size=4)
         # json converts these keys to strings, after it sorts them.
         | st.dictionaries(st.integers(), children, max_size=4)
@@ -40,6 +55,7 @@ _json_values = st.recursive(_scalars, _containers, max_leaves=24)
 @example({10: [1], 9: {"x": [2.5, math.nan]}, -1: "z"})
 @example([{False: [0], True: {}}, {None: [None]}])
 @example(-0.0)
+@example({"p": _Pair([1], _List([OrderedDict(b=2, a=[3])])), "q": [_Pair(1, 2)]})
 @given(_json_values)
 def test_write_json_is_json_dumps_bytes(tmp_path, value):
     path = tmp_path / "v.json"

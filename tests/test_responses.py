@@ -195,7 +195,7 @@ def _load_response_logs_per_line_loads(path):
                 model, item, index, output = (
                     rec["model"], rec["item"], rec["attempt"], rec["output"]
                 )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, RecursionError, KeyError, TypeError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad attempt record ({exc!r})") from exc
             if (type(model), type(item), type(index), type(output)) != (str, str, int, str):
                 key, kind = next(
@@ -294,6 +294,8 @@ def _load_outcome(load, path):
 @example('{"model": "m1", "model": "m2", "item": "q1", "attempt": 0, "output": "A"} x\n')
 @example('{"model": "m1", "item": "q1", "attempt": NaN, "output": "A"}\n')
 @example('{"model": "m1", "item": "q1",\n "attempt": 0, "output": "A"}\n')
+@example('{"model": "m1", "item": "q1", "attempt": ' + "9" * 5000 + ', "output": "A"}\n')
+@example("[" * 100_000 + "\n")
 @given(_jsonl_file())
 def test_load_response_logs_matches_per_line_loads(tmp_path, text):
     path = tmp_path / "log.jsonl"

@@ -8,10 +8,12 @@ from cdmkit import (
     ValidationError,
     load_item_bank,
     load_response_matrix,
+    qmatrix,
     recovery_score,
     save_sim_output,
     simulate,
 )
+from cdmkit.responses import load_matrix_csv
 from cdmkit.simulate import GAMMA_ITEM, MAX_MATRIX_ELEMENTS, REPEATS, sigmoid
 
 
@@ -176,6 +178,9 @@ def test_save_sim_output_round_trips(tmp_path):
         assert (tmp_path / name).exists(), name
     bank = load_item_bank(tmp_path / "bank.json")
     assert len(bank) == sim.scores.shape[0]
+    tags, _, _ = load_matrix_csv(tmp_path / "qmatrix.csv")
+    np.testing.assert_array_equal(qmatrix(bank), tags)
+    np.testing.assert_array_equal(qmatrix(bank), sim.qmat)
     rm = load_response_matrix(tmp_path / "scores.csv", tmp_path / "weights.csv")
     np.testing.assert_array_equal(rm.scores, sim.scores)
     np.testing.assert_array_equal(rm.weights, np.ones_like(sim.scores))
