@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .grading import choice_letter_rule, extract_choice, grade
+from .grading import extract_choice, grade
 from .heatmap import cell_color, render_svg, save_heatmap_csv
 from .manifest import RunManifest, sha256_file, write_json, write_manifest
 from .metrics import (

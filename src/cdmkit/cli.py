@@ -55,7 +55,6 @@ from .responses import (
 )
 from .simulate import SimConfig, save_sim_output, simulate
 from .solver import (
-    NORMALIZATIONS,
     McfConfig,
     load_mastery,
     mastery,
@@ -220,7 +219,6 @@ FIT_OPTIONS = (
     *(_field(McfConfig, name) for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept")),
     *(_field(McfConfig, name) for name in ("max_iters", "tol", "seed")),
     Option("starts", int, 8),
-    Option("normalization", str, "minmax_global", choices=NORMALIZATIONS),
     Option("out", str, "fit_out"),
 )
 
@@ -248,18 +246,19 @@ def _load_fit_inputs(eff: dict, command: str):
 def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     config = McfConfig(**_fields(FIT_OPTIONS, eff))
     matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
+    untagged = [c for c, tagged in zip(concept_ids, qmat.any(axis=0)) if not tagged]
+    if untagged:
+        log.warning(
+            "%d concept(s) tagged by no item, so no score bears on their mastery: %s",
+            len(untagged), untagged,
+        )
     result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
     out = _out_dir(eff)
     save_factors(
         result.factors, out,
         item_ids=matrix.item_ids, model_ids=matrix.model_ids, concept_ids=concept_ids,
     )
-    mm = mastery(
-        result.factors,
-        normalization=eff["normalization"],
-        model_ids=matrix.model_ids,
-        concept_ids=concept_ids,
-    )
+    mm = mastery(result.factors, model_ids=matrix.model_ids, concept_ids=concept_ids)
     save_mastery(mm, out)
     predicted = predict_scores(result.factors)
     report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
@@ -268,7 +267,7 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
         fh.write("iteration,objective\n")
         for i, value in enumerate(result.objective_trace):
             fh.write(f"{i},{repr(value)}\n")
-    save_fit_bundle(result, config, out / "fit.json")
+    save_fit_bundle(result, config, predicted, out / "fit.json")
     auc_text = "absent" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"fit seed={result.seed} objective={result.objective:.6g} "

@@ -23,6 +23,10 @@ log = logging.getLogger(__name__)
 MAX_CONCEPTS = 16
 PARAM_FLOOR = 0.001
 PARAM_CEIL = 0.999
+# em_fit's starting slip and guess for every item, and its relative stop tolerance.
+INIT_SLIP = 0.2
+INIT_GUESS = 0.2
+EM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,9 +129,6 @@ def em_fit(
     responses: NDArray[np.float64],
     qmat: NDArray[np.float64],
     max_iters: int = 200,
-    tol: float = 1e-8,
-    init_slip: float = 0.2,
-    init_guess: float = 0.2,
 ) -> EmFitResult:
     """Estimate slip/guess by expectation-maximization (uniform profile prior).
 
@@ -147,8 +148,8 @@ def em_fit(
     gate = _gate_table(profiles, qmat)
     log_prior = -np.log(len(profiles))
 
-    slip = np.full(n_items, float(init_slip))
-    guess = np.full(n_items, float(init_guess))
+    slip = np.full(n_items, INIT_SLIP)
+    guess = np.full(n_items, INIT_GUESS)
     params = DinaParams(slip, guess)
     trace: list[float] = []
     converged = False
@@ -161,7 +162,7 @@ def em_fit(
             raise NumericalError(
                 f"marginal log-likelihood decreased at EM iteration {it}"
             )
-        if trace and abs(mll - trace[-1]) < tol * abs(trace[-1]):
+        if trace and abs(mll - trace[-1]) < EM_TOL * abs(trace[-1]):
             trace.append(mll)
             converged = True
             break

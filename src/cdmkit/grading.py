@@ -59,14 +59,17 @@ def mark(raw_output: str, key: str) -> int | None:
     """1 or 0 for an output against a :func:`normalize_key` key, or None when
     the attempt cannot be graded: the key holds no choice letter or nothing
     can be extracted.  Pure, so a caller may reuse a result for equal inputs;
-    :func:`choice_letter_rule` turns None into 0 and a warning."""
+    :func:`grade` turns None into 0 and a warning."""
     if not key:
         return None
     got = extract_choice(raw_output, multi=len(key) > 1)
     return None if got is None else int(got == key)
 
 
-def choice_letter_rule(raw_output: str, answer_key: str) -> int:
+def grade(raw_output: str, answer_key: str) -> int:
+    """Score one attempt: 1 iff the extracted answer matches the key."""
+    if not answer_key.strip():
+        raise ValueError("empty answer key")
     key = normalize_key(answer_key)
     result = mark(raw_output, key)
     if result is not None:
@@ -76,10 +79,3 @@ def choice_letter_rule(raw_output: str, answer_key: str) -> int:
     else:
         log.warning("could not extract a choice from output %r; scoring 0", raw_output[:80])
     return 0
-
-
-def grade(raw_output: str, answer_key: str) -> int:
-    """Score one attempt: 1 iff the extracted answer matches the key."""
-    if not answer_key.strip():
-        raise ValueError("empty answer key")
-    return choice_letter_rule(raw_output, answer_key)

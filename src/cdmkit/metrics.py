@@ -21,6 +21,8 @@ from .solver import MasteryMatrix
 
 log = logging.getLogger(__name__)
 
+BINARIZE_THRESHOLD = 0.5
+
 
 # ---------------------------------------------------------------------------
 # Reconstruction metrics
@@ -79,12 +81,11 @@ def reconstruction_metrics(
     predicted: NDArray[np.float64],
     observed: NDArray[np.float64],
     weights: NDArray[np.float64] | None = None,
-    binarize_threshold: float = 0.5,
 ) -> ReconstructionReport:
     """Compare predicted scores against observed scores on observed cells.
 
-    Labels binarize the observed scores at the threshold (exactly at the
-    threshold counts as positive); accuracy binarizes the predictions the same
+    Labels binarize the observed scores at ``BINARIZE_THRESHOLD`` (exactly at
+    the threshold counts as positive); accuracy binarizes the predictions the same
     way, AUC uses the raw predicted scores, RMSE uses raw values on both
     sides.  Cells with zero weight are excluded everywhere.
     """
@@ -103,8 +104,8 @@ def reconstruction_metrics(
     obs = observed[mask]
     if pred.size == 0:
         raise DegenerateDataError("no observed cells to score")
-    labels = (obs >= binarize_threshold).astype(int)
-    pred_labels = (pred >= binarize_threshold).astype(int)
+    labels = (obs >= BINARIZE_THRESHOLD).astype(int)
+    pred_labels = (pred >= BINARIZE_THRESHOLD).astype(int)
     accuracy = float((pred_labels == labels).mean())
     rmse = float(np.sqrt(((pred - obs) ** 2).mean()))
     if labels.min() == labels.max():
@@ -117,7 +118,7 @@ def reconstruction_metrics(
         auc=auc,
         rmse=rmse,
         n_cells=int(pred.size),
-        binarize_threshold=binarize_threshold,
+        binarize_threshold=BINARIZE_THRESHOLD,
     )
 
 
@@ -139,7 +140,7 @@ class ConceptCountReport:
     threshold: float
 
 
-def concept_counts(mastery: MasteryMatrix, threshold: float = 0.9) -> ConceptCountReport:
+def concept_counts(mastery: MasteryMatrix, threshold: float) -> ConceptCountReport:
     """Per-model count of concepts with mastery strictly above the threshold.
 
     Rows are sorted best-first: by count descending, then mean mastery

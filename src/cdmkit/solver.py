@@ -79,7 +79,6 @@ from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
 
-NORMALIZATIONS = ("clip", "minmax_global")
 # Added to every multiplicative-update denominator so that none is zero.
 EPSILON = 1e-12
 
@@ -177,13 +176,10 @@ class MasteryMatrix:
 
     raw: NDArray[np.float64]
     prob: NDArray[np.float64]
-    normalization: str
     model_ids: tuple[str, ...]
     concept_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.normalization not in NORMALIZATIONS:
-            raise ValidationError(f"unknown normalization {self.normalization!r}")
         if self.raw.shape != self.prob.shape:
             raise DimensionError("raw/prob shape mismatch")
         if self.raw.shape != (len(self.model_ids), len(self.concept_ids)):
@@ -385,7 +381,7 @@ def multistart_fit(
     weights: NDArray[np.float64],
     qmat: NDArray[np.float64],
     config: McfConfig,
-    starts: int = 8,
+    starts: int,
 ) -> FitResult:
     """Fit from ``starts`` consecutive seeds and keep the lowest objective.
 
@@ -421,33 +417,26 @@ def _default_ids(prefix: str, n: int) -> tuple[str, ...]:
 
 def mastery(
     factors: FactorSet,
-    normalization: str = "minmax_global",
     model_ids: tuple[str, ...] | None = None,
     concept_ids: tuple[str, ...] | None = None,
 ) -> MasteryMatrix:
     """Model-by-concept mastery from the fitted factors.
 
-    ``raw`` is the exact factor product; ``prob`` maps it into [0,1] under the
-    chosen mode: "clip" caps at 1 and "minmax_global" rescales by the
-    matrix-wide range.  Both preserve each row's argmax.
+    ``raw`` is the exact factor product; ``prob`` rescales it by the
+    matrix-wide range into [0,1], which keeps the order of every cell.  Only
+    the ranks of ``raw`` carry meaning: its scale is set by the ridge terms.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ValidationError(f"unknown normalization {normalization!r}")
     raw = factors.skill_model.T @ factors.skill_concept
-    if normalization == "clip":
-        prob = np.minimum(raw, 1.0)
+    lo, hi = float(raw.min()), float(raw.max())
+    if hi - lo <= 0:
+        log.warning("constant mastery matrix; minmax maps all entries to 0")
+        prob = np.zeros_like(raw)
     else:
-        lo, hi = float(raw.min()), float(raw.max())
-        if hi - lo <= 0:
-            log.warning("constant mastery matrix; minmax maps all entries to 0")
-            prob = np.zeros_like(raw)
-        else:
-            prob = (raw - lo) / (hi - lo)
+        prob = (raw - lo) / (hi - lo)
     n_models, n_concepts = raw.shape
     return MasteryMatrix(
         raw=raw,
         prob=prob,
-        normalization=normalization,
         model_ids=model_ids or _default_ids("model", n_models),
         concept_ids=concept_ids or _default_ids("concept", n_concepts),
     )
@@ -491,10 +480,12 @@ def load_factors(out_dir: str | Path) -> FactorSet:
 
 
 def save_fit_bundle(
-    result: FitResult, config: McfConfig, path: str | Path
+    result: FitResult, config: McfConfig, predicted: PredictedScores, path: str | Path
 ) -> None:
-    """JSON sidecar for a fit: config, trace, convergence, clip diagnostics."""
-    predicted = predict_scores(result.factors)
+    """JSON sidecar for a fit: config, trace, convergence, clip diagnostics.
+
+    ``predicted`` is ``predict_scores(result.factors)``.
+    """
     payload = {
         "config": config.to_dict(),
         "seed": result.seed,
@@ -507,7 +498,7 @@ def save_fit_bundle(
 
 
 def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
-    """Write mastery CSVs plus a JSON bundle carrying the normalization tag."""
+    """Write mastery CSVs plus a JSON bundle holding ids, raw and prob."""
     out_dir = Path(out_dir)
     raw_path = out_dir / "mastery_raw.csv"
     prob_path = out_dir / "mastery_prob.csv"
@@ -516,7 +507,6 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
     bundle = out_dir / "mastery.json"
     payload = {
         "format_version": 1,
-        "normalization": m.normalization,
         "model_ids": list(m.model_ids),
         "concept_ids": list(m.concept_ids),
         # float64 first: an integer array would list ints, written without ".0".
@@ -531,9 +521,10 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     """Read a mastery JSON bundle (as written by :func:`save_mastery`).
 
     A file that is not a JSON object raises ``FormatError``; a missing or
-    malformed field, or a bundle ``MasteryMatrix`` rejects (for example an
-    unknown normalization or a non-finite entry), raises ``ValidationError``.
-    Both name the file.
+    malformed field, or a bundle ``MasteryMatrix`` rejects (for example a
+    non-finite entry or a ``prob`` outside [0, 1]), raises ``ValidationError``.
+    Both name the file.  Other keys are ignored, such as the ``normalization``
+    tag of older bundles: their ``prob`` is used as written.
     """
     payload = read_json(path)
 
@@ -553,6 +544,6 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"{path}: malformed field {name!r} ({exc})") from exc
     try:
-        return MasteryMatrix(normalization=payload.get("normalization"), **fields)
+        return MasteryMatrix(**fields)
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from exc

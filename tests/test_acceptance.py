@@ -66,7 +66,7 @@ def planted_runs():
         report = reconstruction_metrics(
             predict_scores(result.factors).values, sim.scores, weights
         )
-        mm = mastery(result.factors, normalization="minmax_global")
+        mm = mastery(result.factors)
         rho = recovery_score(mm, sim).overall
         runs.append({"seed": seed, "elapsed": elapsed, "report": report, "rho": rho})
     return runs
@@ -273,7 +273,7 @@ def test_gate_07_cross_model_agreement():
         McfConfig(n_skills=n_concepts, seed=0),
         starts=8,
     )
-    mm = mastery(result.factors, normalization="clip")
+    mm = mastery(result.factors)
     mcf_binary = (mm.prob > 0.5).astype(float)
 
     agreement = float((mcf_binary == map_profiles).mean())
@@ -298,7 +298,6 @@ def test_gate_08_concept_count_semantics():
     mm = MasteryMatrix(
         raw=prob.copy(),
         prob=prob,
-        normalization="clip",
         model_ids=("mid", "low", "edge"),
         concept_ids=tuple(f"c{i}" for i in range(k)),
     )
@@ -309,7 +308,6 @@ def test_gate_08_concept_count_semantics():
         MasteryMatrix(
             raw=np.full((2, 5), 0.9),
             prob=np.full((2, 5), 0.9),
-            normalization="clip",
             model_ids=("a", "b"),
             concept_ids=tuple(f"c{i}" for i in range(5)),
         ),

@@ -119,6 +119,7 @@ def test_config_file_precedence(tmp_path, monkeypatch):
     pytest.param("fit", {"epsilon": 1e-12}, "epsilon", id="fit epsilon"),
     pytest.param("fit", {"binarize_threshold": 0.5}, "binarize_threshold",
                  id="fit binarize_threshold"),
+    pytest.param("fit", {"normalization": "clip"}, "normalization", id="fit normalization"),
     pytest.param("grade", {"rule": "choice-letter"}, "rule", id="grade rule"),
 ])
 def test_config_file_unknown_key(tmp_path, monkeypatch, capsys, command, config, key):
@@ -165,8 +166,6 @@ PINNED_OPTIONS = {
         "tol": (["--tol"], float, None, None, 1e-4),
         "seed": (["--seed"], int, None, None, 0),
         "starts": (["--starts"], int, None, None, 8),
-        "normalization": (["--normalization"], None, None, ["clip", "minmax_global"],
-                          "minmax_global"),
         "out": (["--out"], None, None, None, "fit_out"),
     },
     "diagnose": {
@@ -244,12 +243,10 @@ BAD_CONFIGS = [
     ("string from list", ["sweep"], {"skills_grid": [4, 8]}, "skills_grid",
      "must be a string, got [4, 8]"),
     ("path from number", ["fit"], {"weights": 3}, "weights", "must be a string, got 3"),
-    ("choice from number", ["fit"], {"normalization": 1}, "normalization",
-     "must be one of ['clip', 'minmax_global'], got 1"),
+    ("choice from number", ["agreement"], {"distance": 1}, "distance",
+     "must be one of ['nominal', 'jaccard'], got 1"),
     ("choice from null", ["agreement"], {"distance": None}, "distance",
      "must be one of ['nominal', 'jaccard'], got null"),
-    ("normalization", ["fit"], {"normalization": "bogus"}, "normalization",
-     "must be one of ['clip', 'minmax_global'], got \"bogus\""),
     ("distance", ["agreement"], {"distance": "cosine"}, "distance",
      "must be one of ['nominal', 'jaccard']"),
     ("NaN number", ["fit"], {"q_weight": math.nan}, "q_weight", "must be finite, got NaN"),
@@ -474,9 +471,25 @@ def test_fit_zero_iterations_emits_initial_objective_only(tmp_path, monkeypatch)
     assert lines[1].startswith("0,")
 
 
+def test_fit_warns_once_about_untagged_concepts(tmp_path, monkeypatch):
+    _write_fit_inputs(tmp_path)
+    qmat, items, concepts = load_matrix_csv(tmp_path / "qmatrix.csv")
+    qmat[:, 0] += qmat[:, 3]
+    qmat[:, 3] = 0.0
+    save_matrix_csv(qmat, items, concepts, tmp_path / "qmatrix.csv", corner="item_id")
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "fit", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
+        "--starts", "1", "--max-iters", "30", "--out", "f",
+    ]) == 0
+    assert (tmp_path / "f" / "warnings.log").read_text().splitlines() == [
+        "1 concept(s) tagged by no item, so no score bears on their mastery: ['c3']",
+    ]
+
+
 def test_fit_default_mastery_passes_gate_2(tmp_path, monkeypatch):
     # Gate 2 scores the library's mastery; this scores the mastery.json that
-    # `cdmkit fit` writes with no --normalization, on the same five worlds.
+    # `cdmkit fit` writes, on the same five worlds.
     monkeypatch.chdir(tmp_path)
     rhos = []
     for seed in (7, 11, 13, 17, 19):
@@ -488,7 +501,6 @@ def test_fit_default_mastery_passes_gate_2(tmp_path, monkeypatch):
             "--out", f"fit{seed}",
         ]) == 0
         mm = load_mastery(tmp_path / f"fit{seed}" / "mastery.json")
-        assert mm.normalization == "minmax_global"
         truth = simulate(SimConfig(n_items=210, n_models=30, n_concepts=70, n_skills=5, seed=seed))
         rhos.append(recovery_score(mm, truth).overall)
     assert sum(rho >= 0.9 for rho in rhos) >= 4, rhos
@@ -583,7 +595,7 @@ def test_diagnose_too_many_clusters(fitted_world, monkeypatch, capsys):
 def test_diagnose_concept_counts_csv_quotes_ids(tmp_path, monkeypatch):
     model_ids = ("org/model,v2", 'say "hi"', "plain", "a\rb")
     prob = np.array([[0.95, 0.2], [0.1, 0.3], [0.99, 0.91], [0.2, 0.95]])
-    save_mastery(MasteryMatrix(prob, prob, "clip", model_ids, ("c0", "c1")), tmp_path)
+    save_mastery(MasteryMatrix(prob, prob, model_ids, ("c0", "c1")), tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main(["diagnose", "--mastery", "mastery.json", "--out", "d"]) == 0
     with open(tmp_path / "d" / "concept_counts.csv", newline="", encoding="utf-8") as fh:
@@ -963,7 +975,7 @@ def test_malformed_input_table(
     _write_fit_inputs(tmp_path)
     prob = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     save_mastery(
-        MasteryMatrix(prob, prob, "clip", ("m0", "m1", "m2"), ("c0", "c1", "c2", "c3")),
+        MasteryMatrix(prob, prob, ("m0", "m1", "m2"), ("c0", "c1", "c2", "c3")),
         tmp_path,
     )
     setup(tmp_path)
@@ -991,7 +1003,7 @@ def _mastery_rows(prob):
         prob_ = np.array(prob)
         model_ids = tuple(f"m{j}" for j in range(len(prob_)))
         concept_ids = tuple(f"c{k}" for k in range(prob_.shape[1]))
-        save_mastery(MasteryMatrix(prob_, prob_, "clip", model_ids, concept_ids), root)
+        save_mastery(MasteryMatrix(prob_, prob_, model_ids, concept_ids), root)
     return setup
 
 

@@ -23,7 +23,6 @@ def _mastery(prob, raw=None, model_ids=None, concept_ids=None):
     return MasteryMatrix(
         raw=prob if raw is None else np.asarray(raw, dtype=np.float64),
         prob=prob,
-        normalization="clip",
         model_ids=model_ids or tuple(f"m{j}" for j in range(n)),
         concept_ids=concept_ids or tuple(f"c{i}" for i in range(k)),
     )

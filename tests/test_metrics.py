@@ -20,13 +20,12 @@ from cdmkit import (
 from cdmkit.metrics import average_ranks
 
 
-def _mm(prob, model_ids=None, normalization="clip"):
+def _mm(prob, model_ids=None):
     prob = np.asarray(prob, dtype=np.float64)
     n, k = prob.shape
     return MasteryMatrix(
         raw=prob.copy(),
         prob=prob,
-        normalization=normalization,
         model_ids=tuple(model_ids or (f"m{j}" for j in range(n))),
         concept_ids=tuple(f"c{i}" for i in range(k)),
     )
@@ -175,7 +174,7 @@ def test_sorted_descending_with_ties():
             [0.95, 0.5, 0.5],   # 1 mastered, higher mean
         ]
     )
-    rep = concept_counts(_mm(prob, model_ids=("alpha", "beta", "gamma")))
+    rep = concept_counts(_mm(prob, model_ids=("alpha", "beta", "gamma")), threshold=0.9)
     assert [r.model_id for r in rep.rows] == ["beta", "gamma", "alpha"]
 
 
@@ -192,7 +191,9 @@ def test_counts_monotone_in_threshold():
 def test_render_table_shape():
     prob = np.zeros((2, 70))
     prob[0, :40] = 0.95
-    text = render_concept_table(concept_counts(_mm(prob, model_ids=("best", "worst"))))
+    text = render_concept_table(
+        concept_counts(_mm(prob, model_ids=("best", "worst")), threshold=0.9)
+    )
     lines = text.splitlines()
     assert lines[0].split() == ["con", "model", "acc"]
     assert "40/70" in lines[1] and "best" in lines[1]

@@ -119,7 +119,6 @@ def _as_mastery(prob, truth):
     return MasteryMatrix(
         raw=prob.copy(),
         prob=prob,
-        normalization="clip",
         model_ids=tuple(f"m{j}" for j in range(prob.shape[0])),
         concept_ids=tuple(f"c{k}" for k in range(prob.shape[1])),
     )

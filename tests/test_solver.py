@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +25,7 @@ from cdmkit import (
     save_mastery,
     simulate,
 )
-from cdmkit.solver import EPSILON, NORMALIZATIONS, _init_factors
+from cdmkit.solver import EPSILON, _init_factors
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -299,14 +301,13 @@ def test_fit_matches_reference_updates(all_ones_weights, q_weight, ridge):
 def test_default_stop_rule_settles_on_held_out_world():
     # A gate-sized world on a seed the release gates do not use: the default
     # tol stops every start early, and the mastery ranking is already sound.
-    # minmax_global keeps the ranks of the raw mastery, as in gate 2.
     sim = simulate(SimConfig(n_items=210, n_models=30, n_concepts=70, n_skills=5, seed=21))
     weights = np.ones_like(sim.scores)
     rhos = []
     for seed in range(8):
         res = fit(sim.scores, weights, sim.qmat, McfConfig(n_skills=5, seed=seed))
         assert res.converged and res.iterations_run < 500
-        mm = mastery(res.factors, normalization="minmax_global")
+        mm = mastery(res.factors)
         rhos.append(recovery_score(mm, sim).overall)
     assert np.mean(rhos) >= 0.9
 
@@ -406,26 +407,17 @@ def test_mastery_raw_is_exact_product():
     )
 
 
-def test_mastery_clip_mode():
-    f = FactorSet(np.ones((1, 1)), np.array([[1.0]]), np.array([[0.9]]))
-    assert mastery(f, normalization="clip").prob[0, 0] == pytest.approx(0.9)
-    f_hot = FactorSet(np.ones((1, 1)), np.array([[1.4]]), np.array([[1.0]]))
-    m = mastery(f_hot, normalization="clip")
-    assert m.raw[0, 0] == pytest.approx(1.4)
-    assert m.prob[0, 0] == 1.0
-
-
 def test_mastery_minmax_global():
     u = np.array([[1.0, 2.0]])
     v = np.array([[1.0, 3.0]])
-    m = mastery(FactorSet(np.ones((1, 1)), u, v), normalization="minmax_global")
+    m = mastery(FactorSet(np.ones((1, 1)), u, v))
     # raw = [[1,3],[2,6]]; global range [1,6]
     np.testing.assert_allclose(m.prob, np.array([[0.0, 0.4], [0.2, 1.0]]))
 
 
 def test_mastery_constant_minmax_warns_and_zeroes(caplog):
     f = FactorSet(np.ones((1, 1)), np.ones((1, 2)), np.ones((1, 2)))
-    m = mastery(f, normalization="minmax_global")
+    m = mastery(f)
     assert caplog.messages == ["constant mastery matrix; minmax maps all entries to 0"]
     np.testing.assert_array_equal(m.prob, np.zeros((2, 2)))
 
@@ -433,17 +425,10 @@ def test_mastery_constant_minmax_warns_and_zeroes(caplog):
 def test_mastery_row_argmax_survives_normalization():
     rng = np.random.default_rng(23)
     f = FactorSet(rng.random((3, 2)), rng.random((2, 6)), rng.random((2, 4)))
-    for mode in ("clip", "minmax_global"):
-        m = mastery(f, normalization=mode)
-        for j in range(m.n_models):
-            top_raw = int(np.argmax(m.raw[j]))
-            assert m.prob[j, top_raw] == pytest.approx(m.prob[j].max())
-
-
-def test_mastery_unknown_mode_rejected():
-    f = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
-    with pytest.raises(ValidationError, match="normalization"):
-        mastery(f, normalization="sigmoid")
+    m = mastery(f)
+    for j in range(m.n_models):
+        top_raw = int(np.argmax(m.raw[j]))
+        assert m.prob[j, top_raw] == pytest.approx(m.prob[j].max())
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +483,9 @@ def test_factor_csv_round_trip(tmp_path):
 def test_mastery_bundle_round_trip(tmp_path):
     rng = np.random.default_rng(32)
     f = FactorSet(rng.random((4, 2)), rng.random((2, 3)), rng.random((2, 5)))
-    m = mastery(f, normalization="minmax_global")
+    m = mastery(f)
     save_mastery(m, tmp_path)
     back = load_mastery(tmp_path / "mastery.json")
-    assert back.normalization == "minmax_global"
     assert back.model_ids == m.model_ids
     np.testing.assert_array_equal(back.raw, m.raw)
     np.testing.assert_array_equal(back.prob, m.prob)
@@ -521,7 +505,7 @@ def _mastery_matrices(draw):
     return MasteryMatrix(
         np.array(raw, dtype=np.float64).reshape(shape),
         np.array(prob, dtype=np.float64).reshape(shape),
-        draw(st.sampled_from(NORMALIZATIONS)), tuple(model_ids), tuple(concept_ids),
+        tuple(model_ids), tuple(concept_ids),
     )
 
 
@@ -530,9 +514,7 @@ def _mastery_matrices(draw):
 def test_mastery_bundle_round_trip_property(tmp_path, m):
     save_mastery(m, tmp_path)
     back = load_mastery(tmp_path / "mastery.json")
-    assert (back.normalization, back.model_ids, back.concept_ids) == (
-        m.normalization, m.model_ids, m.concept_ids,
-    )
+    assert (back.model_ids, back.concept_ids) == (m.model_ids, m.concept_ids)
     for name in ("raw", "prob"):
         got, want = getattr(back, name), getattr(m, name)
         assert got.dtype == np.float64 and got.shape == want.shape
@@ -540,11 +522,16 @@ def test_mastery_bundle_round_trip_property(tmp_path, m):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_mastery_bundle_unknown_tag(tmp_path):
-    rng = np.random.default_rng(33)
-    f = FactorSet(rng.random((2, 1)), rng.random((1, 2)), rng.random((1, 2)))
-    save_mastery(mastery(f, normalization="clip"), tmp_path)
-    text = (tmp_path / "mastery.json").read_text().replace('"clip"', '"softmax"')
-    (tmp_path / "mastery.json").write_text(text)
-    with pytest.raises(ValidationError, match="unknown normalization 'softmax'"):
-        load_mastery(tmp_path / "mastery.json")
+def test_mastery_bundle_with_old_normalization_tag_loads(tmp_path):
+    # Bundles written before mastery had one mapping carry a "normalization"
+    # tag, and a "clip" one a prob capped at 1 rather than min-max scaled.
+    bundle = tmp_path / "mastery.json"
+    bundle.write_text(json.dumps({
+        "format_version": 1, "normalization": "clip",
+        "model_ids": ["m0", "m1"], "concept_ids": ["c0", "c1"],
+        "raw": [[0.5, 1.4], [0.9, 2.0]], "prob": [[0.5, 1.0], [0.9, 1.0]],
+    }))
+    back = load_mastery(bundle)
+    assert back.model_ids == ("m0", "m1") and back.concept_ids == ("c0", "c1")
+    np.testing.assert_array_equal(back.raw, [[0.5, 1.4], [0.9, 2.0]])
+    np.testing.assert_array_equal(back.prob, [[0.5, 1.0], [0.9, 1.0]])
