@@ -239,6 +239,12 @@ def _load_fit_inputs(eff: dict, command: str):
         raise DimensionError(
             f"item ids in {eff['qmatrix']} do not match {eff['scores']}"
         )
+    untagged = [c for c, tagged in zip(concept_ids, qmat.any(axis=0)) if not tagged]
+    if untagged:
+        log.warning(
+            "%d concept(s) tagged by no item, so no score bears on their mastery: %s",
+            len(untagged), untagged,
+        )
     inputs = [eff["scores"], eff["qmatrix"]] + ([eff["weights"]] if eff["weights"] else [])
     return matrix, qmat, concept_ids, inputs
 
@@ -246,12 +252,6 @@ def _load_fit_inputs(eff: dict, command: str):
 def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     config = McfConfig(**_fields(FIT_OPTIONS, eff))
     matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
-    untagged = [c for c, tagged in zip(concept_ids, qmat.any(axis=0)) if not tagged]
-    if untagged:
-        log.warning(
-            "%d concept(s) tagged by no item, so no score bears on their mastery: %s",
-            len(untagged), untagged,
-        )
     result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
     out = _out_dir(eff)
     save_factors(

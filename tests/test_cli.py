@@ -471,20 +471,37 @@ def test_fit_zero_iterations_emits_initial_objective_only(tmp_path, monkeypatch)
     assert lines[1].startswith("0,")
 
 
-def test_fit_warns_once_about_untagged_concepts(tmp_path, monkeypatch):
-    _write_fit_inputs(tmp_path)
-    qmat, items, concepts = load_matrix_csv(tmp_path / "qmatrix.csv")
+UNTAGGED_C3 = ["1 concept(s) tagged by no item, so no score bears on their mastery: ['c3']"]
+
+
+def _write_fit_inputs_untagging_c3(root):
+    _write_fit_inputs(root)
+    qmat, items, concepts = load_matrix_csv(root / "qmatrix.csv")
     qmat[:, 0] += qmat[:, 3]
     qmat[:, 3] = 0.0
-    save_matrix_csv(qmat, items, concepts, tmp_path / "qmatrix.csv", corner="item_id")
+    save_matrix_csv(qmat, items, concepts, root / "qmatrix.csv", corner="item_id")
+
+
+def test_fit_warns_once_about_untagged_concepts(tmp_path, monkeypatch):
+    _write_fit_inputs_untagging_c3(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert main([
         "fit", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
         "--starts", "1", "--max-iters", "30", "--out", "f",
     ]) == 0
-    assert (tmp_path / "f" / "warnings.log").read_text().splitlines() == [
-        "1 concept(s) tagged by no item, so no score bears on their mastery: ['c3']",
-    ]
+    assert (tmp_path / "f" / "warnings.log").read_text().splitlines() == UNTAGGED_C3
+
+
+def test_sweep_warns_once_about_untagged_concepts(tmp_path, monkeypatch):
+    # sweep reads the same Q-matrix as fit, so it names the same concept, once
+    # for the whole grid rather than once per grid point.
+    _write_fit_inputs_untagging_c3(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "1,2",
+        "--starts", "1", "--max-iters", "30", "--out", "sw",
+    ]) == 0
+    assert (tmp_path / "sw" / "warnings.log").read_text().splitlines() == UNTAGGED_C3
 
 
 def test_fit_default_mastery_passes_gate_2(tmp_path, monkeypatch):
@@ -866,6 +883,12 @@ MALFORMED = [
     ("mastery nan raw", _edit_mastery(lambda p: p["raw"][1].__setitem__(2, float("nan"))),
      lambda root: load_mastery(root / "mastery.json"),
      ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery raw entries must be finite"),
+    ("mastery format_version 99", _edit_mastery(lambda p: p.__setitem__("format_version", 99)),
+     lambda root: load_mastery(root / "mastery.json"),
+     FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "unsupported format_version 99 (expected 1)"),
+    ("mastery without format_version", _edit_mastery(lambda p: p.pop("format_version")),
+     lambda root: load_mastery(root / "mastery.json"),
+     FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "unsupported format_version None (expected 1)"),
     ("nan threshold", _write("diagnose.json", json.dumps({"threshold": float("nan")})),
      _concept_counts_from_config, ValidationError,
      DIAGNOSE_ARGV + ["--config", "diagnose.json"], 2, "", "threshold must be finite"),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from cdmkit import (
     FactorSet,
+    FormatError,
     MasteryMatrix,
     McfConfig,
     NumericalError,
@@ -325,6 +327,40 @@ def test_fit_objective_matches_direct_residuals_on_dense_problem():
     assert res.objective == pytest.approx(direct, rel=1e-12)
 
 
+def _fit_from_a_start_with(monkeypatch, factor, value):
+    """Fit a small problem whose start holds ``value`` in one entry of factor 0, 1 or 2."""
+    init = _init_factors
+
+    def patched(*args):
+        start = init(*args)
+        start[factor][0, 0] = value
+        return start
+
+    monkeypatch.setattr("cdmkit.solver._init_factors", patched)
+    rng = np.random.default_rng(3)
+    scores = rng.random((8, 5))
+    qmat = (rng.random((8, 4)) < 0.5).astype(float)
+    return fit(scores, np.ones_like(scores), qmat, McfConfig(n_skills=2, seed=1))
+
+
+@pytest.mark.parametrize("factor", [0, 1, 2], ids=["item", "model", "concept"])
+def test_fit_stops_on_a_non_finite_factor(monkeypatch, factor):
+    # An inf in any factor spreads into E at the first update, so the check
+    # may name E rather than the factor that held it.
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalError, match=r"non-finite (item|model|concept) factor at iteration 0"
+    ):
+        _fit_from_a_start_with(monkeypatch, factor, np.inf)
+
+
+@pytest.mark.parametrize("factor, name", [(0, "item"), (1, "model"), (2, "concept")])
+def test_fit_stops_on_a_negative_factor_and_names_it(monkeypatch, factor, name):
+    # A negative entry stays negative under a multiplicative step, and only
+    # in the factor that held it.
+    with pytest.raises(NumericalError, match=f"negative {name} factor at iteration 0"):
+        _fit_from_a_start_with(monkeypatch, factor, -1e-3)
+
+
 def test_fit_rejects_all_zero_weights():
     with pytest.raises(ValidationError, match="nothing observed"):
         fit(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 1)), McfConfig(n_skills=1))
@@ -535,3 +571,15 @@ def test_mastery_bundle_with_old_normalization_tag_loads(tmp_path):
     assert back.model_ids == ("m0", "m1") and back.concept_ids == ("c0", "c1")
     np.testing.assert_array_equal(back.raw, [[0.5, 1.4], [0.9, 2.0]])
     np.testing.assert_array_equal(back.prob, [[0.5, 1.0], [0.9, 1.0]])
+
+
+@pytest.mark.parametrize("version", [99, 2, 0, True, 1.0, "1", None])
+def test_mastery_bundle_with_other_format_version_rejected(tmp_path, version):
+    m = mastery(FactorSet(np.ones((3, 2)), np.ones((2, 2)), np.ones((2, 3))))
+    save_mastery(m, tmp_path)
+    bundle = tmp_path / "mastery.json"
+    payload = json.loads(bundle.read_text())
+    payload["format_version"] = version
+    bundle.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=re.escape(f"{bundle}: unsupported format_version")):
+        load_mastery(bundle)
