@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -139,27 +140,44 @@ def load_item_bank(path: str | Path) -> ItemBank:
 def _load_bank_json(path: Path) -> ItemBank:
     payload = read_json(path)
     version = payload.get("format_version")
-    if version != BANK_FORMAT_VERSION:
+    # type() rather than ==, so that neither true nor 1.0 passes for 1.
+    if type(version) is not int or version != BANK_FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported format_version {version!r} "
             f"(expected {BANK_FORMAT_VERSION})"
         )
+
+    def text(record: dict, where: str, name: str, default: str | None = None) -> str:
+        value = record[name] if default is None else record.get(name, default)
+        if not isinstance(value, str):
+            raise FormatError(f"{path}: {where}.{name} must be a string, got {value!r}")
+        return value
+
     try:
-        catalog = ConceptCatalog(
-            tuple(Concept(c["id"], c.get("label", c["id"])) for c in payload["concepts"])
-        )
-        items = tuple(
-            Item(
-                item_id=rec["id"],
-                prompt=rec.get("prompt", ""),
-                answer_key=rec["answer_key"],
-                concept_tags=frozenset(rec["concepts"]),
+        concepts = []
+        for k, rec in enumerate(payload["concepts"]):
+            where = f"concepts[{k}]"
+            concept_id = text(rec, where, "id")
+            concepts.append(Concept(concept_id, text(rec, where, "label", concept_id)))
+        items = []
+        for i, rec in enumerate(payload["items"]):
+            where = f"items[{i}]"
+            tags = rec["concepts"]
+            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                raise FormatError(
+                    f"{path}: {where}.concepts must be a list of strings, got {tags!r}"
+                )
+            items.append(
+                Item(
+                    item_id=text(rec, where, "id"),
+                    prompt=text(rec, where, "prompt", ""),
+                    answer_key=text(rec, where, "answer_key"),
+                    concept_tags=frozenset(tags),
+                )
             )
-            for rec in payload["items"]
-        )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{path}: malformed bank record ({exc!r})") from exc
-    return ItemBank(items=items, catalog=catalog)
+    return ItemBank(items=tuple(items), catalog=ConceptCatalog(tuple(concepts)))
 
 
 def _load_bank_csv(path: Path) -> ItemBank:
@@ -204,20 +222,14 @@ def save_item_bank(bank: ItemBank, path: str | Path) -> None:
     """Write the bank in the format :func:`load_item_bank` reads from ``path``'s suffix."""
     path = Path(path)
     if path.suffix.lower() != ".csv":
-        payload = {
-            "format_version": BANK_FORMAT_VERSION,
-            "concepts": [{"id": c.concept_id, "label": c.label} for c in bank.catalog.concepts],
-            "items": [
-                {
-                    "id": item.item_id,
-                    "prompt": item.prompt,
-                    "answer_key": item.answer_key,
-                    "concepts": sorted(item.concept_tags),
-                }
+        write_bank_json(
+            path,
+            ((c.concept_id, c.label) for c in bank.catalog.concepts),
+            (
+                (item.item_id, item.prompt, item.answer_key, sorted(item.concept_tags))
                 for item in bank.items
-            ],
-        }
-        write_json(path, payload)
+            ),
+        )
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -231,3 +243,26 @@ def save_item_bank(bank: ItemBank, path: str | Path) -> None:
         writer.writerow(["id", "label"])
         for c in bank.catalog.concepts:
             writer.writerow([c.concept_id, c.label])
+
+
+def write_bank_json(
+    path: str | Path,
+    concepts: Iterable[tuple[str, str]],
+    items: Iterable[tuple[str, str, str, list[str]]],
+) -> None:
+    """Write a bank in the JSON layout :func:`load_item_bank` reads, from
+    ``(id, label)`` per concept and ``(id, prompt, answer key, tags)`` per
+    item, the tags sorted.  This is the one home of that layout; the rows
+    are not checked, so they come from an ``ItemBank`` or from a simulated
+    tag matrix."""
+    write_json(
+        path,
+        {
+            "format_version": BANK_FORMAT_VERSION,
+            "concepts": [{"id": cid, "label": label} for cid, label in concepts],
+            "items": [
+                {"id": item_id, "prompt": prompt, "answer_key": key, "concepts": tags}
+                for item_id, prompt, key, tags in items
+            ],
+        },
+    )

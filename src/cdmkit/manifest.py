@@ -36,31 +36,47 @@ def write_json(path: str | Path, payload: object) -> None:
     A list, tuple or dict that holds another one is written item by item;
     whether it does is checked once per distinct type of its items, and a
     subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a container,
-    as it does for json."""
+    as it does for json.  Everything else, dict keys included, goes through
+    one json encoder per nesting depth, made once for the whole call."""
     path = Path(path)
     fh = open(path, "w", encoding="utf-8")
     try:
         with fh:
-            _write_value(fh.write, payload, 0, set())
+            _write_value(fh.write, payload, 0, set(), _Encoders())
             fh.write("\n")
     except BaseException:
         path.unlink(missing_ok=True)
         raise
 
 
+class _Encoders(dict):
+    """json's C encoder for each nesting depth, made on first use.  Its item
+    separator carries the newline and indentation of the level below."""
+
+    def __missing__(self, depth: int) -> json.JSONEncoder:
+        encoder = self[depth] = json.JSONEncoder(
+            sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")
+        )
+        return encoder
+
+
 def _write_value(
-    write: Callable[[str], object], value: object, depth: int, open_ids: set[int]
+    write: Callable[[str], object],
+    value: object,
+    depth: int,
+    open_ids: set[int],
+    encoders: _Encoders,
 ) -> None:
     """Write ``value`` as ``json.dumps`` does at nesting ``depth`` with
     ``indent=2`` and ``sort_keys=True``.  A container that holds containers
-    is written item by item; anything else goes to json's C encoder in one
-    call, whose item separator carries the newline and indentation of the
-    level below."""
+    is written item by item; anything else goes to the encoder of ``depth``
+    in one call."""
     is_dict = isinstance(value, dict)
     children = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
     inner = "\n" + "  " * (depth + 1)
+    encode = encoders[depth].encode
     if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
-        text = json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode(value)
+        text = encode(value)
         if children:  # json puts the brackets of a non-empty container on lines of their own
             text = f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
         write(text)
@@ -75,19 +91,19 @@ def _write_value(
             write("," + inner)
         if is_dict:
             key, item = item
-            write(json.dumps(_json_key(key)) + ": ")
-        _write_value(write, item, depth + 1, open_ids)
+            write(encode(_json_key(key, encode)) + ": ")
+        _write_value(write, item, depth + 1, open_ids, encoders)
     write("\n" + "  " * depth + ("}" if is_dict else "]"))
     open_ids.discard(id(value))
 
 
-def _json_key(key: object) -> str:
+def _json_key(key: object, encode: Callable[[object], str]) -> str:
     """A dict key as json writes it: numbers, booleans and null become their
     JSON text; any other non-string key is a ``TypeError``."""
     if isinstance(key, str):
         return key
     if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
+        return encode(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 

@@ -272,6 +272,12 @@ def aggregate(
 _BLOCK_CELLS = 1 << 16
 
 
+class _Lines(list):
+    """A file for ``csv.writer`` that keeps each row it writes as one string."""
+
+    write = list.append
+
+
 def save_matrix_csv(
     matrix: NDArray[np.float64],
     row_ids: tuple[str, ...],
@@ -282,21 +288,37 @@ def save_matrix_csv(
     """Generic labelled-matrix CSV: header of column ids, first column row ids.
 
     Floats are written with ``repr`` (shortest round-trip form) so that
-    save→load is bit-exact and reruns produce byte-identical files.
+    save→load is bit-exact and reruns produce byte-identical files.  The bytes
+    are those ``csv.writer`` writes for the rows, but only the ids pass
+    through ``csv``: a cell never needs quoting, so each row is written as
+    ``<id>,<cell>,<cell>…\r\n`` by one ``str.join``.
     """
     bits = np.asarray(matrix, dtype=np.float64).view(np.uint64)
     step = max(1, _BLOCK_CELLS // max(1, bits.shape[1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([corner, *col_ids])
+        if not bits.shape[1]:
+            # A row is its id alone; csv writes a lone empty id as "".
+            writer.writerows([rid] for rid in row_ids)
+            return
+        # Each id quoted as csv quotes the first of several fields: written
+        # with an empty second field, so it ends in ",\r\n"; the comma stays.
+        quoted = _Lines()
+        csv.writer(quoted).writerows([rid, ""] for rid in row_ids)
+        heads = [line[:-2] for line in quoted]
         # Each distinct value of a block of rows is formatted once.  Values
         # are told apart by their bits, so -0.0 and 0.0 keep their own text.
+        # Rows go to the file one at a time, so no block-sized string is held.
         for start in range(0, len(bits), step):
             block = bits[start : start + step]
             distinct, index = np.unique(block, return_inverse=True)
             text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
             cells = text[index.reshape(block.shape)].tolist()
-            writer.writerows([rid, *row] for rid, row in zip(row_ids[start : start + step], cells))
+            fh.writelines(
+                head + ",".join(row) + "\r\n"
+                for head, row in zip(heads[start : start + step], cells)
+            )
 
 
 def _first_duplicate(ids: tuple[str, ...]) -> str | None:

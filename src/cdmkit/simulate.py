@@ -201,7 +201,7 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     Emits a stub item bank (synthetic ids/prompts), scores + weights CSVs,
     the tag matrix CSV, and truth.json with factors and probabilities.
     """
-    from .bank import Concept, ConceptCatalog, Item, ItemBank, save_item_bank
+    from .bank import write_bank_json
     from .manifest import write_json
     from .responses import save_matrix_csv
 
@@ -213,19 +213,18 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     model_ids = _default_ids("model", n)
     concept_ids = _default_ids("concept", k)
 
-    catalog = ConceptCatalog(tuple(Concept(cid, cid) for cid in concept_ids))
-    items = tuple(
-        Item(
-            item_id=item_ids[i],
-            prompt=f"synthetic question {i}",
-            answer_key="A",
-            concept_tags=frozenset(itertools.compress(concept_ids, sim.qmat[i].tolist())),
-        )
-        for i in range(m)
-    )
+    # The ids are zero-padded, so tags taken in concept order come sorted.
     paths: dict[str, Path] = {}
     paths["bank"] = out_dir / "bank.json"
-    save_item_bank(ItemBank(items, catalog), paths["bank"])
+    write_bank_json(
+        paths["bank"],
+        ((cid, cid) for cid in concept_ids),
+        (
+            (item_id, f"synthetic question {i}", "A",
+             list(itertools.compress(concept_ids, sim.qmat[i].tolist())))
+            for i, item_id in enumerate(item_ids)
+        ),
+    )
 
     paths["scores"] = out_dir / "scores.csv"
     save_matrix_csv(sim.scores, item_ids, model_ids, paths["scores"], corner="item_id")

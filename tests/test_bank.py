@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -113,6 +116,65 @@ def test_unknown_format_version_rejected(tiny_bank, tmp_path):
     text = path.read_text().replace('"format_version": 1', '"format_version": 99')
     path.write_text(text)
     with pytest.raises(FormatError, match="format_version"):
+        load_item_bank(path)
+
+
+def _bank_payload():
+    return {
+        "format_version": 1,
+        "concepts": [{"id": "c1", "label": "loops"}, {"id": "c2"}],
+        "items": [
+            {"id": "q1", "prompt": "p1", "answer_key": "A", "concepts": ["c1"]},
+            {"id": "q2", "answer_key": "b", "concepts": ["c1", "c2"]},
+        ],
+    }
+
+
+def test_bank_json_payload_loads(tmp_path):
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(_bank_payload()))
+    bank = load_item_bank(path)
+    assert bank.catalog.concepts == (Concept("c1", "loops"), Concept("c2", "c2"))
+    assert bank.items == (
+        Item("q1", "p1", "A", frozenset({"c1"})),
+        Item("q2", "", "B", frozenset({"c1", "c2"})),
+    )
+
+
+# Each field must hold its JSON type: true and 1.0 are not the version 1, and
+# a string of tags is not split into one-character tags.
+@pytest.mark.parametrize("record, key, value, message", [
+    pytest.param((), "format_version", True, "unsupported format_version True (expected 1)",
+                 id="version true"),
+    pytest.param((), "format_version", 1.0, "unsupported format_version 1.0 (expected 1)",
+                 id="version 1.0"),
+    pytest.param((), "format_version", "1", "unsupported format_version '1' (expected 1)",
+                 id="version string"),
+    pytest.param(("items", 0), "answer_key", 5, "items[0].answer_key must be a string, got 5",
+                 id="answer_key number"),
+    pytest.param(("items", 1), "id", 2, "items[1].id must be a string, got 2", id="item id number"),
+    pytest.param(("items", 0), "prompt", None, "items[0].prompt must be a string, got None",
+                 id="prompt null"),
+    pytest.param(("items", 1), "concepts", "c1",
+                 "items[1].concepts must be a list of strings, got 'c1'", id="tags string"),
+    pytest.param(("items", 0), "concepts", ["c1", 1],
+                 "items[0].concepts must be a list of strings, got ['c1', 1]", id="tag number"),
+    pytest.param(("items", 0), "concepts", {"c1": 1},
+                 "items[0].concepts must be a list of strings, got {'c1': 1}", id="tags object"),
+    pytest.param(("concepts", 1), "id", 7, "concepts[1].id must be a string, got 7",
+                 id="concept id number"),
+    pytest.param(("concepts", 0), "label", ["loops"],
+                 "concepts[0].label must be a string, got ['loops']", id="label list"),
+])
+def test_bank_json_field_types_checked(tmp_path, record, key, value, message):
+    payload = _bank_payload()
+    target = payload
+    for step in record:
+        target = target[step]
+    target[key] = value
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
         load_item_bank(path)
 
 

@@ -800,6 +800,18 @@ def _write_bank(root):
     (root / "bank.json").write_text(json.dumps(bank))
 
 
+def _edit_bank(edit):
+    """Case setup: a bank.json edited through ``edit(payload)`` and a valid log.jsonl."""
+    def setup(root):
+        _write_bank(root)
+        path = root / "bank.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        (root / "log.jsonl").write_text(LOG_RECORD + "\n", encoding="utf-8")
+    return setup
+
+
 def _bank_and_log(*lines):
     """Case setup: a valid bank.json and log.jsonl holding ``lines``."""
     def setup(root):
@@ -889,6 +901,22 @@ MALFORMED = [
     ("mastery without format_version", _edit_mastery(lambda p: p.pop("format_version")),
      lambda root: load_mastery(root / "mastery.json"),
      FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "unsupported format_version None (expected 1)"),
+    # Bank JSON fields hold their JSON types: true is not the version 1, and a
+    # string of tags is not split into one-character tags.
+    *((f"bank {case}", _edit_bank(edit), lambda root: load_item_bank(root / "bank.json"),
+       FormatError, GRADE_ARGV, 2, "bank.json", message)
+      for case, edit, message in (
+          ("format_version true", lambda p: p.__setitem__("format_version", True),
+           "unsupported format_version True (expected 1)"),
+          ("format_version 1.0", lambda p: p.__setitem__("format_version", 1.0),
+           "unsupported format_version 1.0 (expected 1)"),
+          ("answer_key 5", lambda p: p["items"][1].__setitem__("answer_key", 5),
+           "items[1].answer_key must be a string, got 5"),
+          ("concepts string", lambda p: p["items"][0].__setitem__("concepts", "c1"),
+           "items[0].concepts must be a list of strings, got 'c1'"),
+          ("concept id number", lambda p: p["concepts"][0].__setitem__("id", 1),
+           "concepts[0].id must be a string, got 1"),
+      )),
     ("nan threshold", _write("diagnose.json", json.dumps({"threshold": float("nan")})),
      _concept_counts_from_config, ValidationError,
      DIAGNOSE_ARGV + ["--config", "diagnose.json"], 2, "", "threshold must be finite"),

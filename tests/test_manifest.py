@@ -55,6 +55,8 @@ _json_values = st.recursive(_scalars, _containers, max_leaves=24)
 @example({10: [1], 9: {"x": [2.5, math.nan]}, -1: "z"})
 @example([{False: [0], True: {}}, {None: [None]}])
 @example(-0.0)
+# Innermost dicts with int, bool and None keys, and lists, share a depth.
+@example({7: [{-1: "x", True: 2.5}, [None, False], {None: 0}], 1.5: [[], {}], False: {2: [1]}})
 @example({"p": _Pair([1], _List([OrderedDict(b=2, a=[3])])), "q": [_Pair(1, 2)]})
 @given(_json_values)
 def test_write_json_is_json_dumps_bytes(tmp_path, value):

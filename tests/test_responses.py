@@ -488,6 +488,11 @@ _REPEATED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 2.2250738585072
 # More cells than one block of rows that share their values' text.
 @example((np.random.default_rng(5).choice([0.0, -0.0, 0.5, 5e-324, 1e16], (700, 100)),
           [f'r"{i},' for i in range(700)], [f"c{j}" for j in range(100)]))
+# No columns: a row is its id alone, and csv writes a lone empty id as "".
+@example((np.zeros((1, 0)), [""], []))
+# More columns than a block holds, so each row, and each id csv must quote, is a block.
+@example((np.random.default_rng(6).choice([0.0, -0.0, 0.25, 1e16], (3, 2**15 + 1)),
+          ["a,b", 'q"x', "x\r\ny"], [f"c{j}" for j in range(2**15 + 1)]))
 @given(st.one_of(
     _labelled_matrices(),
     st.tuples(st.integers(1, 6), st.integers(0, 5)).flatmap(lambda shape: st.tuples(

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from cdmkit import (
+    Concept,
+    ConceptCatalog,
     DegenerateDataError,
+    Item,
+    ItemBank,
     MasteryMatrix,
     SimConfig,
     ValidationError,
@@ -10,6 +14,7 @@ from cdmkit import (
     load_response_matrix,
     qmatrix,
     recovery_score,
+    save_item_bank,
     save_sim_output,
     simulate,
 )
@@ -183,3 +188,22 @@ def test_save_sim_output_round_trips(tmp_path):
     rm = load_response_matrix(tmp_path / "scores.csv", tmp_path / "weights.csv")
     np.testing.assert_array_equal(rm.scores, sim.scores)
     np.testing.assert_array_equal(rm.weights, np.ones_like(sim.scores))
+
+
+@pytest.mark.parametrize("n_concepts", [9, 10, 11, 101])
+def test_sim_bank_is_item_bank_bytes(tmp_path, n_concepts):
+    # The concept counts cross the widths the ids are zero-padded to.
+    sim = simulate(_small(seed=4, n_concepts=n_concepts))
+    save_sim_output(sim, tmp_path / "sim")
+    tags, item_ids, concept_ids = load_matrix_csv(tmp_path / "sim" / "qmatrix.csv")
+    bank = ItemBank(
+        items=tuple(
+            Item(item_id, f"synthetic question {i}", "A",
+                 frozenset(c for c, tag in zip(concept_ids, row) if tag))
+            for i, (item_id, row) in enumerate(zip(item_ids, tags))
+        ),
+        catalog=ConceptCatalog(tuple(Concept(c, c) for c in concept_ids)),
+    )
+    save_item_bank(bank, tmp_path / "bank.json")
+    assert (tmp_path / "sim" / "bank.json").read_bytes() == (tmp_path / "bank.json").read_bytes()
+    np.testing.assert_array_equal(qmatrix(load_item_bank(tmp_path / "sim" / "bank.json")), sim.qmat)
