@@ -7,7 +7,7 @@ oracle, reconstruction/agreement metrics, and a reporting CLI.  Caveats such
 as an undefined AUC or clamped parameters are logged under ``cdmkit``.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -77,4 +77,6 @@ from .solver import (
     save_mastery,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, not the submodules that importing them binds.
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _ModuleType))]

@@ -8,7 +8,7 @@ axes from here.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
-from .manifest import open_text, read_json, write_json
+from .manifest import check_format_version, first_duplicate, naming, open_text, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -34,13 +34,11 @@ class ConceptCatalog:
     concepts: tuple[Concept, ...]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for c in self.concepts:
-            if not c.concept_id:
-                raise ValidationError("concept with empty id")
-            if c.concept_id in seen:
-                raise ValidationError(f"duplicate concept id {c.concept_id!r}")
-            seen.add(c.concept_id)
+        if "" in self.ids:
+            raise ValidationError("concept with empty id")
+        dup = first_duplicate(self.ids)
+        if dup is not None:
+            raise ValidationError(f"duplicate concept id {dup!r}")
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -75,30 +73,19 @@ class ItemBank:
 
     items: tuple[Item, ...]
     catalog: ConceptCatalog
-    orphan_concepts: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.items:
             raise ValidationError("no items")
-        seen: set[str] = set()
+        dup = first_duplicate(self.item_ids)
+        if dup is not None:
+            raise ValidationError(f"duplicate item id {dup!r}")
         known = set(self.catalog.ids)
-        tagged: set[str] = set()
-        for item in self.items:
-            if item.item_id in seen:
-                raise ValidationError(f"duplicate item id {item.item_id!r}")
-            seen.add(item.item_id)
-            unknown = item.concept_tags - known
-            if unknown:
-                raise ValidationError(
-                    f"item {item.item_id!r}: unknown concept tag {min(unknown)!r}"
-                )
-            tagged |= item.concept_tags
-        # Concepts nobody tags are legal but worth surfacing to callers.
-        object.__setattr__(
-            self,
-            "orphan_concepts",
-            tuple(cid for cid in self.catalog.ids if cid not in tagged),
-        )
+        if not set().union(*(item.concept_tags for item in self.items)) <= known:
+            item = next(item for item in self.items if not item.concept_tags <= known)
+            raise ValidationError(
+                f"item {item.item_id!r}: unknown concept tag {min(item.concept_tags - known)!r}"
+            )
 
     def __len__(self) -> int:
         return len(self.items)
@@ -134,18 +121,13 @@ def load_item_bank(path: str | Path) -> ItemBank:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         return _load_bank_csv(path)
-    return _load_bank_json(path)
+    with naming(path):
+        return _load_bank_json(path)
 
 
 def _load_bank_json(path: Path) -> ItemBank:
     payload = read_json(path)
-    version = payload.get("format_version")
-    # type() rather than ==, so that neither true nor 1.0 passes for 1.
-    if type(version) is not int or version != BANK_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {version!r} "
-            f"(expected {BANK_FORMAT_VERSION})"
-        )
+    check_format_version(payload, path, BANK_FORMAT_VERSION)
 
     def text(record: dict, where: str, name: str, default: str | None = None) -> str:
         value = record[name] if default is None else record.get(name, default)
@@ -196,26 +178,28 @@ def _load_bank_csv(path: Path) -> ItemBank:
                 )
             if r:
                 concepts.append(Concept(r[0], r[1]))
-    catalog = ConceptCatalog(tuple(concepts))
+    with naming(cpath):
+        catalog = ConceptCatalog(tuple(concepts))
     with open_text(path) as fh:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:4] != ["id", "prompt", "answer_key", "concepts"]:
         raise FormatError(f"{path}: expected header id,prompt,answer_key,concepts")
     items = []
-    for r in rows[1:]:
-        if not r:
-            continue
-        if len(r) < 4:
-            raise FormatError(f"{path}: short row {r!r}")
-        items.append(
-            Item(
-                item_id=r[0],
-                prompt=r[1],
-                answer_key=r[2],
-                concept_tags=frozenset(t for t in r[3].split(";") if t),
+    with naming(path):
+        for r in rows[1:]:
+            if not r:
+                continue
+            if len(r) < 4:
+                raise FormatError(f"{path}: short row {r!r}")
+            items.append(
+                Item(
+                    item_id=r[0],
+                    prompt=r[1],
+                    answer_key=r[2],
+                    concept_tags=frozenset(t for t in r[3].split(";") if t),
+                )
             )
-        )
-    return ItemBank(items=tuple(items), catalog=catalog)
+        return ItemBank(items=tuple(items), catalog=catalog)
 
 
 def save_item_bank(bank: ItemBank, path: str | Path) -> None:

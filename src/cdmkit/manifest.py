@@ -6,8 +6,8 @@ checked for identity; the timestamp is the only field allowed to differ
 between identical reruns.  :func:`write_json` writes every JSON file: exactly
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
 newline, streamed to the file as they are encoded rather than built as one
-string.  :func:`read_json` reads every JSON input, and every text input is
-opened through :func:`open_text`.
+string.  :func:`read_json` reads every JSON input, every text input is
+opened through :func:`open_text`, and the input rules loaders share are here.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from . import __version__
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 MANIFEST_NAME = "manifest.json"
 _CONTAINERS = (dict, list, tuple)
@@ -133,6 +133,36 @@ def read_json(path: str | Path) -> dict:
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return payload
+
+
+def check_format_version(payload: dict, path: str | Path, expected: int) -> None:
+    """A ``FormatError`` unless ``payload["format_version"]`` is the int ``expected``."""
+    version = payload.get("format_version")
+    # type() rather than ==, so that neither true nor 1.0 passes for 1.
+    if type(version) is not int or version != expected:
+        raise FormatError(
+            f"{path}: unsupported format_version {version!r} (expected {expected})"
+        )
+
+
+def first_duplicate(ids: Iterable[str]) -> str | None:
+    """The first id that repeats an earlier one, or ``None`` if all differ."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            return i
+        seen.add(i)
+    return None
+
+
+@contextmanager
+def naming(*paths: str | Path) -> Iterator[None]:
+    """Raise a ``ValidationError`` of the block again, of the same type, as
+    ``"<path>, <path>: <message>"``; messages in the block name no file."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{', '.join(map(str, paths))}: {exc}") from exc
 
 
 def sha256_file(path: str | Path) -> str:

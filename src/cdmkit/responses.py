@@ -11,6 +11,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ from numpy.typing import NDArray
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
 from .grading import grade, mark, normalize_key
-from .manifest import open_text
+from .manifest import first_duplicate, naming, open_text
 
 DEFAULT_REPEATS = 10
 
@@ -34,7 +35,8 @@ class Attempt(NamedTuple):
 @dataclass(frozen=True)
 class ResponseLog:
     """All graded-able attempts for one model.  ``source`` is the file they
-    were read from, if any, for errors to name; it is not part of equality."""
+    were read from, if any, for errors to name; it is not part of equality.
+    Attempts are checked by :func:`aggregate`, over all logs of the model."""
 
     model_id: str
     entries: tuple[Attempt, ...]
@@ -43,18 +45,6 @@ class ResponseLog:
     def __post_init__(self) -> None:
         if not self.model_id:
             raise ValidationError("response log with empty model id")
-        seen: set[tuple[str, int]] = set()
-        for e in self.entries:
-            if e.attempt_index < 0:
-                raise ValidationError(
-                    f"model {self.model_id!r}: negative attempt index on {e.item_id!r}"
-                )
-            key = (e.item_id, e.attempt_index)
-            if key in seen:
-                raise ValidationError(
-                    f"model {self.model_id!r}: duplicate attempt {key!r}"
-                )
-            seen.add(key)
 
 
 # The fields of one JSONL attempt record and the JSON type each must hold.
@@ -71,8 +61,8 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
     ``item`` and ``output`` and an integer ``attempt`` (not a boolean);
     whitespace around it is ignored.  A line that is not such an object is a
     ``FormatError`` ``<file>:<line>: ...``, json's ``ValueError`` and
-    ``RecursionError`` included; a negative or repeated attempt is
-    a ``ValidationError`` naming the file.
+    ``RecursionError`` included.  Attempt indices and repeats are left to
+    :func:`aggregate`.
 
     Each stripped line is decoded with one ``JSONDecoder.raw_decode`` call,
     which skips the Python layers of ``json.loads`` (a BOM check and two
@@ -112,13 +102,11 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
                     f"got {json.dumps(rec[key])}"
                 )
             by_model.setdefault(model, []).append(Attempt(item, index, output))
-    try:
+    with naming(path):
         return [
             ResponseLog(model, tuple(entries), source=str(path))
             for model, entries in by_model.items()
         ]
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_response_log(log_: ResponseLog, path: str | Path) -> None:
@@ -193,7 +181,10 @@ def aggregate(
 
     score = correct/graded attempts for the cell; weight = graded/repeats
     capped at 1; cells with no attempts get score 0, weight 0.  Model columns
-    are sorted by id so the result does not depend on log order.
+    are sorted by id so the result does not depend on log order.  Over all
+    logs of a model, no (item, attempt) pair may repeat and every attempt
+    index must lie in [0, repeats); a ``ValidationError`` for either names
+    the files that hold the model.
 
     Each distinct (output, answer key) pair is graded once per call; every
     attempt whose output cannot be graded still logs its own warning, in
@@ -211,27 +202,22 @@ def aggregate(
         raise ValidationError(f"unknown item ids in logs: {unknown}")
 
     merged: dict[str, list[Attempt]] = {}
-    split: set[str] = set()
     for lg in logs:
-        if lg.model_id in merged:
-            split.add(lg.model_id)
         merged.setdefault(lg.model_id, []).extend(lg.entries)
-    # Re-validate after merging: the same model may be split across logs but
-    # must not repeat an (item, attempt) pair (one log's pairs are unique
-    # already); attempt indices must fit R.
+    # The checks run in C; the offenders are listed only when one fails.
     for model_id, entries in merged.items():
-        if model_id in split:
-            keys = Counter((e.item_id, e.attempt_index) for e in entries)
-            if len(keys) != len(entries):
-                dupes = sorted(k for k, n in keys.items() if n > 1)
-                raise ValidationError(
-                    f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
-                )
-        bad = sorted({e.item_id for e in entries if e.attempt_index >= repeats})
-        if bad:
+        if len(set(map(itemgetter(0, 1), entries))) != len(entries):
+            keys = Counter(map(itemgetter(0, 1), entries))
+            dupes = sorted(k for k, n in keys.items() if n > 1)
+            raise ValidationError(
+                f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
+            )
+        low = min(map(itemgetter(1), entries), default=0)
+        if low < 0 or max(map(itemgetter(1), entries), default=0) >= repeats:
+            bad = sorted({e.item_id for e in entries if not 0 <= e.attempt_index < repeats})
             raise ValidationError(
                 f"{_sources(logs, model_id)}model {model_id!r}: "
-                f"attempt index >= repeats ({repeats}) on {bad}"
+                f"attempt index outside [0, {repeats}) on {bad}"
             )
 
     model_ids = tuple(sorted(merged))
@@ -321,15 +307,6 @@ def save_matrix_csv(
             )
 
 
-def _first_duplicate(ids: tuple[str, ...]) -> str | None:
-    seen: set[str] = set()
-    for i in ids:
-        if i in seen:
-            return i
-        seen.add(i)
-    return None
-
-
 def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, ...], tuple[str, ...]]:
     """Read a labelled matrix as written by :func:`save_matrix_csv`.
 
@@ -359,7 +336,7 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
         if header is None:
             raise FormatError(f"{path}: empty matrix file")
         col_ids = tuple(header[1:])
-        dup = _first_duplicate(col_ids)
+        dup = first_duplicate(col_ids)
         if dup is not None:
             raise FormatError(f"{path}: duplicate column id {dup!r}")
         # numpy skips empty lines; a body of nothing else is header-only.
@@ -393,7 +370,7 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
             f"names {len(col_ids)} columns"
         )
     row_ids = tuple(ids)
-    dup = _first_duplicate(row_ids)
+    dup = first_duplicate(row_ids)
     if dup is not None:
         raise FormatError(f"{path}: duplicate row id {dup!r}")
     values = np.ascontiguousarray(table[:, 1:])
@@ -413,11 +390,13 @@ def save_response_matrix(rm: ResponseMatrix, scores_path: str | Path, weights_pa
 
 
 def load_response_matrix(scores_path: str | Path, weights_path: str | Path | None = None) -> ResponseMatrix:
+    """Scores and weights (all ones if no file is given); errors name the files."""
     scores, item_ids, model_ids = load_matrix_csv(scores_path)
     if weights_path is None:
-        weights = np.ones_like(scores)
-    else:
-        weights, w_items, w_models = load_matrix_csv(weights_path)
+        with naming(scores_path):
+            return ResponseMatrix(scores, np.ones_like(scores), item_ids, model_ids)
+    weights, w_items, w_models = load_matrix_csv(weights_path)
+    with naming(scores_path, weights_path):
         if (w_items, w_models) != (item_ids, model_ids):
             raise DimensionError("weights CSV ids do not match scores CSV ids")
-    return ResponseMatrix(scores, weights, item_ids, model_ids)
+        return ResponseMatrix(scores, weights, item_ids, model_ids)

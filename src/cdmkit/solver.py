@@ -87,8 +87,8 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DimensionError, FormatError, NumericalError, ValidationError
-from .manifest import read_json, write_json
+from .errors import DimensionError, NumericalError, ValidationError
+from .manifest import check_format_version, naming, read_json, write_json
 from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
@@ -571,13 +571,7 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     of older bundles: their ``prob`` is used as written.
     """
     payload = read_json(path)
-    version = payload.get("format_version")
-    # type() rather than ==, so that neither true nor 1.0 passes for 1.
-    if type(version) is not int or version != MASTERY_FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {version!r} "
-            f"(expected {MASTERY_FORMAT_VERSION})"
-        )
+    check_format_version(payload, path, MASTERY_FORMAT_VERSION)
 
     def matrix(rows) -> NDArray[np.float64]:
         # One column per concept id, so a bundle with no models reads as (0, K).
@@ -585,16 +579,14 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
         return values.reshape(len(rows), len(fields["concept_ids"]))
 
     fields = {}
-    for name, convert in (
-        ("model_ids", tuple), ("concept_ids", tuple), ("raw", matrix), ("prob", matrix)
-    ):
-        if name not in payload:
-            raise ValidationError(f"{path}: missing field {name!r}")
-        try:
-            fields[name] = convert(payload[name])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}: malformed field {name!r} ({exc})") from exc
-    try:
+    with naming(path):
+        for name, convert in (
+            ("model_ids", tuple), ("concept_ids", tuple), ("raw", matrix), ("prob", matrix)
+        ):
+            if name not in payload:
+                raise ValidationError(f"missing field {name!r}")
+            try:
+                fields[name] = convert(payload[name])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"malformed field {name!r} ({exc})") from exc
         return MasteryMatrix(**fields)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc

@@ -79,15 +79,6 @@ def test_duplicate_concept_ids_rejected():
         ConceptCatalog((Concept("c", "x"), Concept("c", "y")))
 
 
-def test_orphan_concepts_surfaced():
-    catalog = ConceptCatalog((Concept("c1", ""), Concept("c2", ""), Concept("c3", "")))
-    bank = ItemBank(
-        items=(Item("q", "", "A", frozenset({"c2"})),),
-        catalog=catalog,
-    )
-    assert bank.orphan_concepts == ("c1", "c3")
-
-
 def test_catalog_index_and_len(tiny_bank):
     assert len(tiny_bank.catalog) == 2
     # A concept's index is its position in the catalog.

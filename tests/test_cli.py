@@ -15,7 +15,7 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_parser, main
-from cdmkit.errors import DegenerateDataError, FormatError, ValidationError
+from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
 from cdmkit.metrics import concept_counts
 from cdmkit.responses import (
@@ -307,6 +307,15 @@ def _child_env():
     src = str(Path(cdmkit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from cdmkit import *", namespace)
+    assert "annotations" not in namespace
+    modules = [name for name, value in namespace.items() if isinstance(value, type(cdmkit))]
+    assert modules == []
+    assert {"aggregate", "load_item_bank", "ValidationError"} <= namespace.keys()
 
 
 def test_module_entry_point():
@@ -829,6 +838,10 @@ def _two_logs(first, second):
     return setup
 
 
+def _aggregate_log(root):
+    aggregate(load_response_logs(root / "log.jsonl"), load_item_bank(root / "bank.json"))
+
+
 def _aggregate_two_logs(root):
     logs = [*load_response_logs(root / "a.jsonl"), *load_response_logs(root / "b.jsonl")]
     aggregate(logs, load_item_bank(root / "bank.json"))
@@ -917,6 +930,32 @@ MALFORMED = [
           ("concept id number", lambda p: p["concepts"][0].__setitem__("id", 1),
            "concepts[0].id must be a string, got 1"),
       )),
+    # Bank rules name the bank file.
+    *((f"bank {case}", _edit_bank(edit), lambda root: load_item_bank(root / "bank.json"),
+       ValidationError, GRADE_ARGV, 2, "bank.json", f"bank.json: {message}")
+      for case, edit, message in (
+          ("duplicate concept id", lambda p: p["concepts"].append({"id": "c1", "label": "x"}),
+           "duplicate concept id 'c1'"),
+          ("duplicate item id", lambda p: p["items"][1].__setitem__("id", "q1"),
+           "duplicate item id 'q1'"),
+          ("item without concepts", lambda p: p["items"][0].__setitem__("concepts", []),
+           "item 'q1': no concept tags"),
+          ("empty answer key", lambda p: p["items"][1].__setitem__("answer_key", " "),
+           "item 'q2': empty answer key"),
+          ("unknown tag", lambda p: p["items"][0].__setitem__("concepts", ["c9", "c1"]),
+           "item 'q1': unknown concept tag 'c9'"),
+      )),
+    # Score-matrix rules name the scores file and the weights file.
+    *((case, _edit_lines(_set_cell(row, col, text), name),
+       lambda root: load_response_matrix(root / "scores.csv", root / "weights.csv"),
+       error, FIT_ARGV, 2, "scores.csv", f"weights.csv: {message}")
+      for case, name, row, col, text, error, message in (
+          ("score 1.5", "scores.csv", 3, 2, "1.5", ValidationError, "scores outside [0, 1]"),
+          ("weight 0 under a score 1", "weights.csv", 1, 3, "0.0", ValidationError,
+           "unobserved cells (weight 0) must carry score 0"),
+          ("weights row id not in scores", "weights.csv", 2, 0, "qx", DimensionError,
+           "weights CSV ids do not match scores CSV ids"),
+      )),
     ("nan threshold", _write("diagnose.json", json.dumps({"threshold": float("nan")})),
      _concept_counts_from_config, ValidationError,
      DIAGNOSE_ARGV + ["--config", "diagnose.json"], 2, "", "threshold must be finite"),
@@ -928,6 +967,9 @@ MALFORMED = [
      lambda root: load_item_bank(root / "items.csv"),
      FormatError, ["grade", "--bank", "items.csv", "--logs", "*.jsonl", "--out", "g"], 2,
      "concepts.csv", "concepts.csv:3: concept row ['c1'] needs id and label"),
+    ("repeated concept row", _write("concepts.csv", "id,label\nc1,loops\nc1,again\n"),
+     lambda root: load_item_bank(root / "items.csv"),
+     ValidationError, GRADE_CSV_ARGV, 2, "concepts.csv", "concepts.csv: duplicate concept id 'c1'"),
     ("infinite tol flag", lambda root: None, lambda root: McfConfig(tol=math.inf),
      ValidationError, FIT_ARGV + ["--tol", "inf"], 2, "command line", "tol must be finite"),
     # Every config is built, and every result computed, before --out is created.
@@ -982,19 +1024,20 @@ MALFORMED = [
        FormatError, GRADE_ARGV, 2, "log.jsonl",
        f"log.jsonl:1: attempt must be an integer, got {value}")
       for value in ("1.7", "true", '"0"')),
+    # Attempt indices and repeats are aggregate's to check, over all files of a model.
     ("log duplicate attempt", _bank_and_log(LOG_RECORD, LOG_RECORD.replace('"A"', '"B"')),
-     _load_log, ValidationError, GRADE_ARGV, 2, "log.jsonl",
-     "log.jsonl: model 'gpt': duplicate attempt ('q1', 0)"),
-    ("log negative attempt", _bank_and_log(LOG_RECORD.replace("0", "-1")), _load_log,
+     _aggregate_log, ValidationError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl: model 'gpt': duplicate attempts [('q1', 0)]"),
+    ("log negative attempt", _bank_and_log(LOG_RECORD.replace("0", "-1")), _aggregate_log,
      ValidationError, GRADE_ARGV, 2, "log.jsonl",
-     "log.jsonl: model 'gpt': negative attempt index on 'q1'"),
+     "log.jsonl: model 'gpt': attempt index outside [0, 10) on ['q1']"),
     # One model's logs split over two files: aggregate names both.
     ("log duplicate attempt across files", _two_logs(LOG_RECORD, LOG_RECORD), _aggregate_two_logs,
      ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
      "b.jsonl: model 'gpt': duplicate attempts [('q1', 0)]"),
     ("log attempt past repeats across files", _two_logs(LOG_RECORD, LOG_RECORD.replace("0", "10")),
      _aggregate_two_logs, ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
-     "b.jsonl: model 'gpt': attempt index >= repeats (10) on ['q1']"),
+     "b.jsonl: model 'gpt': attempt index outside [0, 10) on ['q1']"),
     ("config of 5,000 digits", _write("cfg.json", '{"max_iters": ' + "9" * 5000 + "}"),
      lambda root: read_json(root / "cfg.json"), FormatError, [*FIT_ARGV, "--config", "cfg.json"],
      2, "cfg.json", "cfg.json: invalid JSON (Exceeds the limit (4300 digits)"),
@@ -1030,8 +1073,10 @@ def test_malformed_input_table(
         tmp_path,
     )
     setup(tmp_path)
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)) as caught:
         call(tmp_path)
+    # Each file a message names, it names once.
+    assert str(caught.value).count(str(tmp_path / named)) <= 1
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     err = capsys.readouterr().err

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import logging
+import re
 import time
 import warnings
 
@@ -136,13 +137,35 @@ def test_duplicate_check_is_not_quadratic(tiny_bank):
 
 
 def test_attempt_index_must_fit_repeats(tiny_bank):
-    with pytest.raises(ValidationError, match="attempt index >= repeats"):
+    with pytest.raises(ValidationError, match=re.escape("attempt index outside [0, 5) on ['q1']")):
         aggregate([_log("m1", ("q1", 5, "A"))], tiny_bank, repeats=5)
 
 
-def test_duplicate_within_one_log_rejected():
-    with pytest.raises(ValidationError, match="duplicate attempt"):
-        _log("m1", ("q1", 0, "A"), ("q1", 0, "B"))
+def test_duplicate_within_one_log_rejected(tiny_bank):
+    with pytest.raises(ValidationError, match=re.escape("duplicate attempts [('q1', 0)]")):
+        aggregate([_log("m1", ("q1", 0, "A"), ("q1", 0, "B"))], tiny_bank)
+
+
+def test_log_without_attempts_aggregates_to_zero_weight(tiny_bank):
+    rm = aggregate([_log("empty"), _log("m1", ("q1", 0, "A"))], tiny_bank)
+    assert rm.model_ids == ("empty", "m1")
+    assert not rm.scores[:, 0].any() and not rm.weights[:, 0].any()
+
+
+@pytest.mark.parametrize("lines, message", [
+    (['{"model": "m1", "item": "q1", "attempt": -1, "output": "A"}'],
+     "model 'm1': attempt index outside [0, 10) on ['q1']"),
+    (['{"model": "m1", "item": "q1", "attempt": 0, "output": "A"}',
+      '{"model": "m1", "item": "q1", "attempt": 0, "output": "B"}'],
+     "model 'm1': duplicate attempts [('q1', 0)]"),
+])
+def test_one_file_attempt_rules_name_the_file(tiny_bank, tmp_path, lines, message):
+    path = tmp_path / "log.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    logs = load_response_logs(path)  # the loader leaves attempts to aggregate
+    with pytest.raises(ValidationError) as caught:
+        aggregate(logs, tiny_bank)
+    assert str(caught.value) == f"{path}: {message}"
 
 
 def test_jsonl_round_trip(tmp_path):
