@@ -7,7 +7,6 @@ axes from here.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -16,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
-from .manifest import check_format_version, first_duplicate, naming, open_text, read_json, write_json
+from .manifest import check_format_version, first_duplicate, naming, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -112,20 +111,11 @@ def qmatrix(bank: ItemBank) -> NDArray[np.float64]:
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats
+# On-disk format
 # ---------------------------------------------------------------------------
 
 def load_item_bank(path: str | Path) -> ItemBank:
-    """Load a bank from CSV (items + companion concepts) when the suffix is
-    ``.csv``, any case, and from JSON (single file) otherwise."""
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        return _load_bank_csv(path)
-    with naming(path):
-        return _load_bank_json(path)
-
-
-def _load_bank_json(path: Path) -> ItemBank:
+    """Load a bank from its JSON file (the layout :func:`write_bank_json` writes)."""
     payload = read_json(path)
     check_format_version(payload, path, BANK_FORMAT_VERSION)
 
@@ -135,98 +125,44 @@ def _load_bank_json(path: Path) -> ItemBank:
             raise FormatError(f"{path}: {where}.{name} must be a string, got {value!r}")
         return value
 
-    try:
-        concepts = []
-        for k, rec in enumerate(payload["concepts"]):
-            where = f"concepts[{k}]"
-            concept_id = text(rec, where, "id")
-            concepts.append(Concept(concept_id, text(rec, where, "label", concept_id)))
-        items = []
-        for i, rec in enumerate(payload["items"]):
-            where = f"items[{i}]"
-            tags = rec["concepts"]
-            if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
-                raise FormatError(
-                    f"{path}: {where}.concepts must be a list of strings, got {tags!r}"
-                )
-            items.append(
-                Item(
-                    item_id=text(rec, where, "id"),
-                    prompt=text(rec, where, "prompt", ""),
-                    answer_key=text(rec, where, "answer_key"),
-                    concept_tags=frozenset(tags),
-                )
-            )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{path}: malformed bank record ({exc!r})") from exc
-    return ItemBank(items=tuple(items), catalog=ConceptCatalog(tuple(concepts)))
-
-
-def _load_bank_csv(path: Path) -> ItemBank:
-    cpath = path.parent / "concepts.csv"
-    if not cpath.exists():
-        raise FormatError(f"missing companion concepts file {cpath}")
-    concepts = []
-    with open_text(cpath) as fh:
-        reader = csv.reader(fh)
-        if next(reader, [])[:2] != ["id", "label"]:
-            raise FormatError(f"{cpath}: expected header id,label")
-        for r in reader:
-            if len(r) == 1:
-                raise FormatError(
-                    f"{cpath}:{reader.line_num}: concept row {r!r} needs id and label"
-                )
-            if r:
-                concepts.append(Concept(r[0], r[1]))
-    with naming(cpath):
-        catalog = ConceptCatalog(tuple(concepts))
-    with open_text(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:4] != ["id", "prompt", "answer_key", "concepts"]:
-        raise FormatError(f"{path}: expected header id,prompt,answer_key,concepts")
-    items = []
     with naming(path):
-        for r in rows[1:]:
-            if not r:
-                continue
-            if len(r) < 4:
-                raise FormatError(f"{path}: short row {r!r}")
-            items.append(
-                Item(
-                    item_id=r[0],
-                    prompt=r[1],
-                    answer_key=r[2],
-                    concept_tags=frozenset(t for t in r[3].split(";") if t),
+        try:
+            concepts = []
+            for k, rec in enumerate(payload["concepts"]):
+                where = f"concepts[{k}]"
+                concept_id = text(rec, where, "id")
+                concepts.append(Concept(concept_id, text(rec, where, "label", concept_id)))
+            items = []
+            for i, rec in enumerate(payload["items"]):
+                where = f"items[{i}]"
+                tags = rec["concepts"]
+                if not isinstance(tags, list) or not all(isinstance(t, str) for t in tags):
+                    raise FormatError(
+                        f"{path}: {where}.concepts must be a list of strings, got {tags!r}"
+                    )
+                items.append(
+                    Item(
+                        item_id=text(rec, where, "id"),
+                        prompt=text(rec, where, "prompt", ""),
+                        answer_key=text(rec, where, "answer_key"),
+                        concept_tags=frozenset(tags),
+                    )
                 )
-            )
-        return ItemBank(items=tuple(items), catalog=catalog)
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: malformed bank record ({exc!r})") from exc
+        return ItemBank(items=tuple(items), catalog=ConceptCatalog(tuple(concepts)))
 
 
 def save_item_bank(bank: ItemBank, path: str | Path) -> None:
-    """Write the bank in the format :func:`load_item_bank` reads from ``path``'s suffix."""
-    path = Path(path)
-    if path.suffix.lower() != ".csv":
-        write_bank_json(
-            path,
-            ((c.concept_id, c.label) for c in bank.catalog.concepts),
-            (
-                (item.item_id, item.prompt, item.answer_key, sorted(item.concept_tags))
-                for item in bank.items
-            ),
-        )
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "prompt", "answer_key", "concepts"])
-        for item in bank.items:
-            writer.writerow(
-                [item.item_id, item.prompt, item.answer_key, ";".join(sorted(item.concept_tags))]
-            )
-    with open(path.parent / "concepts.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for c in bank.catalog.concepts:
-            writer.writerow([c.concept_id, c.label])
+    """Write the bank as the JSON file :func:`load_item_bank` reads."""
+    write_bank_json(
+        path,
+        ((c.concept_id, c.label) for c in bank.catalog.concepts),
+        (
+            (item.item_id, item.prompt, item.answer_key, sorted(item.concept_tags))
+            for item in bank.items
+        ),
+    )
 
 
 def write_bank_json(

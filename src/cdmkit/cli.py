@@ -469,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         log_path = Path(eff["out"]) / "warnings.log"
         log_path.write_text(records.stream.getvalue(), encoding="utf-8")
         write_manifest(eff["out"], args.command, eff, inputs=inputs, seed=seed)
-    except (FormatError, ValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (FormatError, ValidationError, OSError) as exc:
         code, error = USAGE_ERROR, exc
     except (NumericalError, DegenerateDataError) as exc:
         code, error = RUNTIME_ERROR, exc

@@ -82,13 +82,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
-from .manifest import check_format_version, naming, read_json, write_json
+from .manifest import check_format_version, first_duplicate, naming, read_json, write_json
 from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
@@ -567,26 +568,39 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     or is not the integer 1, raises ``FormatError``; a missing or malformed
     field, or a bundle ``MasteryMatrix`` rejects (for example a non-finite
     entry or a ``prob`` outside [0, 1]), raises ``ValidationError``.  Both
-    name the file.  Other keys are ignored, such as the ``normalization`` tag
+    name the file.  The id fields are lists of distinct strings, and every
+    cell of ``raw`` and ``prob`` is a JSON number (not ``true``, not
+    ``"0.5"``).  Other keys are ignored, such as the ``normalization`` tag
     of older bundles: their ``prob`` is used as written.
     """
     payload = read_json(path)
     check_format_version(payload, path, MASTERY_FORMAT_VERSION)
 
+    def ids(values) -> tuple[str, ...]:
+        if not isinstance(values, list) or not set(map(type, values)) <= {str}:
+            raise TypeError("not a list of strings")
+        dup = first_duplicate(values)
+        if dup is not None:
+            raise ValueError(f"repeats id {dup!r}")
+        return tuple(values)
+
     def matrix(rows) -> NDArray[np.float64]:
+        # Checked by type: float() would take true and "0.5" as well.
+        if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+            raise TypeError("cells must be JSON numbers")
         # One column per concept id, so a bundle with no models reads as (0, K).
-        values = np.array([[float(x) for x in row] for row in rows], dtype=np.float64)
+        values = np.array(rows, dtype=np.float64)
         return values.reshape(len(rows), len(fields["concept_ids"]))
 
     fields = {}
     with naming(path):
         for name, convert in (
-            ("model_ids", tuple), ("concept_ids", tuple), ("raw", matrix), ("prob", matrix)
+            ("model_ids", ids), ("concept_ids", ids), ("raw", matrix), ("prob", matrix)
         ):
             if name not in payload:
                 raise ValidationError(f"missing field {name!r}")
             try:
                 fields[name] = convert(payload[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"malformed field {name!r} ({exc})") from exc
         return MasteryMatrix(**fields)

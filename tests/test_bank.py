@@ -85,9 +85,8 @@ def test_catalog_index_and_len(tiny_bank):
     assert tiny_bank.catalog.ids == ("c1", "c2")
 
 
-@pytest.mark.parametrize("fmt,name", [("json", "bank.json"), ("csv", "bank.csv")])
-def test_bank_round_trip(tiny_bank, tmp_path, fmt, name):
-    path = tmp_path / name
+def test_bank_round_trip(tiny_bank, tmp_path):
+    path = tmp_path / "bank.json"
     save_item_bank(tiny_bank, path)
     loaded = load_item_bank(path)
     assert loaded.item_ids == tiny_bank.item_ids
@@ -169,13 +168,6 @@ def test_bank_json_field_types_checked(tmp_path, record, key, value, message):
         load_item_bank(path)
 
 
-def test_csv_needs_companion_concepts(tiny_bank, tmp_path):
-    save_item_bank(tiny_bank, tmp_path / "bank.csv")
-    (tmp_path / "concepts.csv").unlink()
-    with pytest.raises(FormatError, match="concepts"):
-        load_item_bank(tmp_path / "bank.csv")
-
-
 def test_malformed_json_is_format_error(tmp_path):
     path = tmp_path / "bank.json"
     path.write_text("{not json")
@@ -184,13 +176,11 @@ def test_malformed_json_is_format_error(tmp_path):
 
 
 _text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
-# The CSV format joins an item's concept ids with ";".
-_concept_ids = _text.filter(lambda c: c and ";" not in c)
 
 
 @st.composite
 def _banks(draw):
-    concept_ids = draw(st.lists(_concept_ids, min_size=1, max_size=5, unique=True))
+    concept_ids = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
     catalog = ConceptCatalog(tuple(Concept(c, draw(_text)) for c in concept_ids))
     item_ids = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
     items = tuple(
@@ -206,9 +196,9 @@ def _banks(draw):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_banks(), st.sampled_from(["bank.json", "bank.csv"]))
-def test_bank_round_trip_property(tmp_path, bank, name):
-    save_item_bank(bank, tmp_path / name)
-    loaded = load_item_bank(tmp_path / name)
+@given(_banks())
+def test_bank_round_trip_property(tmp_path, bank):
+    save_item_bank(bank, tmp_path / "bank.json")
+    loaded = load_item_bank(tmp_path / "bank.json")
     assert loaded.catalog == bank.catalog
     assert loaded.items == bank.items

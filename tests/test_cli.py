@@ -301,6 +301,16 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("cdmkit ")
 
 
+def test_out_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys):
+    (tmp_path / "taken").write_text("keep\n")
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--items", "6", "--models", "3", "--concepts", "4", "--skills", "2"]
+    assert main([*argv, "--out", "taken"]) == 2
+    assert "taken" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "keep\n"
+
+
 def _child_env():
     """The environment of a child interpreter that finds cdmkit where this one
     did, installed or not."""
@@ -908,6 +918,23 @@ MALFORMED = [
     ("mastery nan raw", _edit_mastery(lambda p: p["raw"][1].__setitem__(2, float("nan"))),
      lambda root: load_mastery(root / "mastery.json"),
      ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery raw entries must be finite"),
+    # Mastery ids are lists of distinct strings and cells are JSON numbers.
+    *((f"mastery {case}", _edit_mastery(edit), lambda root: load_mastery(root / "mastery.json"),
+       ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", f"mastery.json: {message}")
+      for case, edit, message in (
+          ("integer model_ids", lambda p: p.__setitem__("model_ids", [0, 1, 2]),
+           "malformed field 'model_ids' (not a list of strings)"),
+          ("integer concept_ids", lambda p: p.__setitem__("concept_ids", [0, 1, 2, 3]),
+           "malformed field 'concept_ids' (not a list of strings)"),
+          ("repeated model id", lambda p: p["model_ids"].__setitem__(2, "m0"),
+           "malformed field 'model_ids' (repeats id 'm0')"),
+          ("true cell", lambda p: p["raw"][0].__setitem__(1, True),
+           "malformed field 'raw' (cells must be JSON numbers)"),
+          ("numeric string cell", lambda p: p["prob"][2].__setitem__(0, "0.5"),
+           "malformed field 'prob' (cells must be JSON numbers)"),
+          ("cell of 400 digits", lambda p: p["raw"][1].__setitem__(0, 10**400),
+           "malformed field 'raw' (int too large to convert to float)"),
+      )),
     ("mastery format_version 99", _edit_mastery(lambda p: p.__setitem__("format_version", 99)),
      lambda root: load_mastery(root / "mastery.json"),
      FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "unsupported format_version 99 (expected 1)"),
@@ -963,13 +990,11 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
-    ("one-cell concept row", _write("concepts.csv", "id,label\nc0,zero\nc1\n"),
+    # The bank is one JSON file, whatever its name: a CSV bank is invalid JSON.
+    ("CSV bank", _write("items.csv", "id,prompt,answer_key,concepts\nq1,p1,A,c1\n"),
      lambda root: load_item_bank(root / "items.csv"),
-     FormatError, ["grade", "--bank", "items.csv", "--logs", "*.jsonl", "--out", "g"], 2,
-     "concepts.csv", "concepts.csv:3: concept row ['c1'] needs id and label"),
-    ("repeated concept row", _write("concepts.csv", "id,label\nc1,loops\nc1,again\n"),
-     lambda root: load_item_bank(root / "items.csv"),
-     ValidationError, GRADE_CSV_ARGV, 2, "concepts.csv", "concepts.csv: duplicate concept id 'c1'"),
+     FormatError, GRADE_CSV_ARGV, 2, "items.csv",
+     "items.csv: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
     ("infinite tol flag", lambda root: None, lambda root: McfConfig(tol=math.inf),
      ValidationError, FIT_ARGV + ["--tol", "inf"], 2, "command line", "tol must be finite"),
     # Every config is built, and every result computed, before --out is created.
@@ -1048,9 +1073,6 @@ MALFORMED = [
     _not_utf8("cfg.json", lambda root: read_json(root / "cfg.json"),
               [*FIT_ARGV, "--config", "cfg.json"]),
     _not_utf8("bank.json", lambda root: load_item_bank(root / "bank.json"), GRADE_ARGV),
-    _not_utf8("concepts.csv", lambda root: load_item_bank(root / "items.csv"), GRADE_CSV_ARGV),
-    _not_utf8("items.csv", lambda root: load_item_bank(root / "items.csv"), GRADE_CSV_ARGV,
-              before=_write("concepts.csv", "id,label\nc1,loops\n")),
     _not_utf8("mastery.json", lambda root: load_mastery(root / "mastery.json"), DIAGNOSE_ARGV),
     _not_utf8("log.jsonl", _load_log, GRADE_ARGV, before=_write_bank),
     _not_utf8("scores.csv", _load_scores, FIT_ARGV),

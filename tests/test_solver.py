@@ -533,8 +533,9 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _mastery_matrices(draw):
-    model_ids = draw(st.lists(_ids, min_size=0, max_size=5))
-    concept_ids = draw(st.lists(_ids, max_size=5))
+    # A bundle's ids are distinct within each list.
+    model_ids = draw(st.lists(_ids, min_size=0, max_size=5, unique=True))
+    concept_ids = draw(st.lists(_ids, max_size=5, unique=True))
     shape = (len(model_ids), len(concept_ids))
     raw = draw(st.lists(_finite, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     prob = draw(st.lists(st.floats(0.0, 1.0), min_size=len(raw), max_size=len(raw)))
