@@ -132,8 +132,12 @@ def em_fit(
 ) -> EmFitResult:
     """Estimate slip/guess by expectation-maximization (uniform profile prior).
 
-    The marginal log-likelihood trace is checked to be non-decreasing; the
-    deterministic init makes the whole fit reproducible without a seed.
+    The marginal log-likelihood is checked not to decrease after each M-step
+    that box clipping alone keeps in range, since such a step maximizes each
+    item's separable concave objective exactly.  A step where the cap
+    ``guess <= PARAM_CEIL - slip`` fires is no exact maximum, so the
+    likelihood after it goes unchecked; its items are in ``clamped_items``.
+    The deterministic init makes the whole fit reproducible without a seed.
     """
     responses = np.asarray(responses, dtype=np.float64)
     qmat = np.asarray(qmat, dtype=np.float64)
@@ -155,10 +159,11 @@ def em_fit(
     converged = False
     iterations = 0
     clamped: set[int] = set()
+    capped = False
     for it in range(max_iters):
         loglik = _loglik(responses, gate, params)
         mll = float(np.logaddexp.reduce(loglik + log_prior, axis=0).sum())
-        if trace and mll < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
+        if trace and not capped and mll < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
             raise NumericalError(
                 f"marginal log-likelihood decreased at EM iteration {it}"
             )
@@ -182,7 +187,8 @@ def em_fit(
         slip = np.clip(raw_slip, PARAM_FLOOR, PARAM_CEIL)
         guess = np.clip(raw_guess, PARAM_FLOOR, PARAM_CEIL)
         over = slip + guess >= 1.0
-        if over.any():
+        capped = bool(over.any())
+        if capped:
             clamped |= set(np.flatnonzero(over).tolist())
             guess[over] = np.minimum(guess[over], PARAM_CEIL - slip[over])
         params = DinaParams(slip, guess)

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -161,10 +161,10 @@ class ResponseMatrix:
         return len(self.model_ids)
 
 
-def _sources(logs: list[ResponseLog], model_id: str) -> str:
-    """``"<file>, <file>: "`` for the files that hold ``model_id``'s logs
-    (empty when none was read from a file), to begin an error about them."""
-    files = sorted({lg.source for lg in logs if lg.model_id == model_id and lg.source})
+def _sources(logs: Iterable[ResponseLog]) -> str:
+    """``"<file>, <file>: "`` for the files ``logs`` were read from (empty
+    when none was read from a file), to begin an error about them."""
+    files = sorted({lg.source for lg in logs if lg.source})
     return f"{', '.join(files)}: " if files else ""
 
 
@@ -184,7 +184,8 @@ def aggregate(
     are sorted by id so the result does not depend on log order.  Over all
     logs of a model, no (item, attempt) pair may repeat and every attempt
     index must lie in [0, repeats); a ``ValidationError`` for either names
-    the files that hold the model.
+    the files that hold the model.  An item the bank lacks is an error that
+    names the files holding it.
 
     Each distinct (output, answer key) pair is graded once per call; every
     attempt whose output cannot be graded still logs its own warning, in
@@ -199,7 +200,8 @@ def aggregate(
         {e.item_id for lg in logs for e in lg.entries if e.item_id not in known_items}
     )
     if unknown:
-        raise ValidationError(f"unknown item ids in logs: {unknown}")
+        holders = (lg for lg in logs if not known_items.issuperset(map(itemgetter(0), lg.entries)))
+        raise ValidationError(f"{_sources(holders)}items not in the bank: {unknown}")
 
     merged: dict[str, list[Attempt]] = {}
     for lg in logs:
@@ -210,14 +212,15 @@ def aggregate(
             keys = Counter(map(itemgetter(0, 1), entries))
             dupes = sorted(k for k, n in keys.items() if n > 1)
             raise ValidationError(
-                f"{_sources(logs, model_id)}model {model_id!r}: duplicate attempts {dupes}"
+                f"{_sources(lg for lg in logs if lg.model_id == model_id)}"
+                f"model {model_id!r}: duplicate attempts {dupes}"
             )
         low = min(map(itemgetter(1), entries), default=0)
         if low < 0 or max(map(itemgetter(1), entries), default=0) >= repeats:
             bad = sorted({e.item_id for e in entries if not 0 <= e.attempt_index < repeats})
             raise ValidationError(
-                f"{_sources(logs, model_id)}model {model_id!r}: "
-                f"attempt index outside [0, {repeats}) on {bad}"
+                f"{_sources(lg for lg in logs if lg.model_id == model_id)}"
+                f"model {model_id!r}: attempt index outside [0, {repeats}) on {bad}"
             )
 
     model_ids = tuple(sorted(merged))

@@ -185,6 +185,9 @@ PINNED_OPTIONS = {
         "qmatrix": (["--qmatrix"], None, None, None, None),
         "skills_grid": (["--skills-grid"], None, None, None, "4,8,16,32"),
         "q_weight_grid": (["--q-weight-grid"], None, None, None, "1.0"),
+        "ridge_item": (["--ridge-item"], float, None, None, 0.01),
+        "ridge_model": (["--ridge-model"], float, None, None, 0.01),
+        "ridge_concept": (["--ridge-concept"], float, None, None, 0.01),
         "max_iters": (["--max-iters"], int, None, None, 2000),
         "tol": (["--tol"], float, None, None, 1e-4),
         "seed": (["--seed"], int, None, None, 0),
@@ -727,6 +730,22 @@ def test_sweep_grid(tmp_path, monkeypatch):
     assert combos == {("2", "0.5"), ("2", "1.0"), ("3", "0.5"), ("3", "1.0")}
 
 
+def test_one_point_sweep_fits_what_fit_fits(tmp_path, monkeypatch):
+    # sweep takes every fit option but the grid's, so ridge flags reach each grid point.
+    _write_fit_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    shared = [
+        "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--ridge-item", "0.5",
+        "--starts", "1", "--max-iters", "20",
+    ]
+    assert main(["fit", *shared, "--skills", "2", "--out", "f"]) == 0
+    assert main(["sweep", *shared, "--skills-grid", "2", "--out", "sw"]) == 0
+    row = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1].split(",")
+    fitted = read_json(tmp_path / "f" / "fit.json")["objective_trace"][-1]
+    assert float(row[2]) == fitted
+    assert _manifest(tmp_path / "sw")["config"]["ridge_item"] == 0.5
+
+
 def test_sweep_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):
     _write_fit_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -1015,6 +1034,9 @@ MALFORMED = [
      lambda root: SimConfig(10**30, 3, 4, 2),
      ValidationError, ["simulate", "--config", "sim.json", "--out", "s"], 2, "n_items",
      "n_items x n_models exceeds 100,000,000 elements"),
+    ("mastery file missing", lambda root: (root / "mastery.json").unlink(),
+     lambda root: load_mastery(root / "mastery.json"),
+     FileNotFoundError, DIAGNOSE_ARGV, 2, "mastery.json", "No such file or directory"),
     ("mastery invalid JSON", _write("mastery.json", "{"),
      lambda root: load_mastery(root / "mastery.json"),
      FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery.json: invalid JSON"),
@@ -1063,6 +1085,8 @@ MALFORMED = [
     ("log attempt past repeats across files", _two_logs(LOG_RECORD, LOG_RECORD.replace("0", "10")),
      _aggregate_two_logs, ValidationError, GRADE_TWO_ARGV, 2, "a.jsonl",
      "b.jsonl: model 'gpt': attempt index outside [0, 10) on ['q1']"),
+    ("log item not in the bank", _bank_and_log(LOG_RECORD.replace("q1", "q9")), _aggregate_log,
+     ValidationError, GRADE_ARGV, 2, "log.jsonl", "log.jsonl: items not in the bank: ['q9']"),
     ("config of 5,000 digits", _write("cfg.json", '{"max_iters": ' + "9" * 5000 + "}"),
      lambda root: read_json(root / "cfg.json"), FormatError, [*FIT_ARGV, "--config", "cfg.json"],
      2, "cfg.json", "cfg.json: invalid JSON (Exceeds the limit (4300 digits)"),
@@ -1085,9 +1109,8 @@ MALFORMED = [
     "setup, call, error, argv, code, named, message",
     [pytest.param(*case[1:], id=case[0]) for case in MALFORMED],
 )
-def test_malformed_input_table(
-    tmp_path, monkeypatch, capsys, setup, call, error, argv, code, named, message
-):
+def test_malformed_input_table(tmp_path, setup, call, error, argv, code, named, message):
+    """Each case through the library call, then as a command in a fresh interpreter."""
     _write_fit_inputs(tmp_path)
     prob = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     save_mastery(
@@ -1099,10 +1122,13 @@ def test_malformed_input_table(
         call(tmp_path)
     # Each file a message names, it names once.
     assert str(caught.value).count(str(tmp_path / named)) <= 1
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == code
-    err = capsys.readouterr().err
-    assert message in err and named in err
+    proc = subprocess.run(
+        [sys.executable, "-m", "cdmkit", *argv],
+        cwd=tmp_path, capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr and named in proc.stderr
+    assert "Traceback" not in proc.stderr
     assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 

@@ -120,6 +120,30 @@ def test_em_loglik_non_decreasing():
     assert np.all(np.diff(trace) >= -1e-9 * np.maximum(1.0, np.abs(trace[:-1])))
 
 
+def _correlated_world(seed):
+    """8 single-tag items, 16 with 1-3 tags; 30 models whose mastery shares a
+    latent ability; slip = guess = 0.25."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((24, 8))
+    q[:8] = np.eye(8)
+    for i in range(8, 24):
+        q[i, rng.choice(8, rng.integers(1, 4), replace=False)] = 1.0
+    theta = rng.normal(size=(30, 1))
+    alpha = (theta + rng.normal(size=(30, 8)) > 0).astype(np.float64)
+    gate = _gate_table(alpha, q).T  # items x models
+    return rng.binomial(1, 0.75 * gate + 0.25 * (1.0 - gate)).astype(np.float64), q
+
+
+def test_em_capped_step_may_lower_loglik():
+    # A step where guess <= PARAM_CEIL - slip binds is not an exact M-step:
+    # the likelihood falls after one here, and the fit goes on.
+    X, Q = _correlated_world(2)
+    res = em_fit(X, Q)
+    assert np.any(np.diff(res.loglik_trace) < 0)
+    assert res.clamped_items
+    assert np.all(res.params.slip + res.params.guess < 1.0)
+
+
 def test_em_zero_iters_keeps_initial_params():
     X, _, Q = simulate_dina(2, 6, 4, slip=0.1, guess=0.1, seed=1)
     res = em_fit(X, Q, max_iters=0)
