@@ -373,9 +373,10 @@ def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
 # ---------------------------------------------------------------------------
 
 SWEEP_OPTIONS = (
-    *(o for o in FIT_OPTIONS if o.key not in ("skills", "q_weight", "starts", "out")),
+    *(o for o in FIT_OPTIONS if o.key in ("scores", "weights", "qmatrix")),
     Option("skills_grid", str, "4,8,16,32"),
     Option("q_weight_grid", str, "1.0"),
+    *(o for o in FIT_OPTIONS if o.key in ("max_iters", "tol", "seed")),
     Option("starts", int, 1),
     Option("out", str, "sweep_out"),
 )

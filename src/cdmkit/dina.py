@@ -99,6 +99,22 @@ def _map_index(post_col: NDArray[np.float64], profile_sums: NDArray[np.float64])
     return int(idx), len(cand) > 1
 
 
+def _m_step_objective(
+    slip: NDArray[np.float64],
+    guess: NDArray[np.float64],
+    slip_mass: NDArray[np.float64],
+    guess_mass: NDArray[np.float64],
+    n_mastered: NDArray[np.float64],
+    n_unmastered: NDArray[np.float64],
+) -> NDArray[np.float64]:
+    """Each item's expected complete-data log-likelihood at (slip, guess),
+    from its expected wrong-when-mastered and right-when-unmastered mass."""
+    return (
+        (n_mastered - slip_mass) * np.log1p(-slip) + slip_mass * np.log(slip)
+        + guess_mass * np.log(guess) + (n_unmastered - guess_mass) * np.log1p(-guess)
+    )
+
+
 def infer_profiles(
     responses: NDArray[np.float64],
     qmat: NDArray[np.float64],
@@ -132,12 +148,14 @@ def em_fit(
 ) -> EmFitResult:
     """Estimate slip/guess by expectation-maximization (uniform profile prior).
 
-    The marginal log-likelihood is checked not to decrease after each M-step
-    that box clipping alone keeps in range, since such a step maximizes each
-    item's separable concave objective exactly.  A step where the cap
-    ``guess <= PARAM_CEIL - slip`` fires is no exact maximum, so the
-    likelihood after it goes unchecked; its items are in ``clamped_items``.
-    The deterministic init makes the whole fit reproducible without a seed.
+    The M-step maximizes each item's separable concave objective over the
+    box exactly.  Where the cap ``guess <= PARAM_CEIL - slip`` binds, the
+    capped point is no exact maximum, so the item keeps its previous
+    slip/guess when those score higher on its objective (a generalized EM
+    step); capped items are in ``clamped_items``.  The marginal
+    log-likelihood trace is thus checked to be non-decreasing after every
+    step.  The deterministic init makes the whole fit reproducible without a
+    seed.
     """
     responses = np.asarray(responses, dtype=np.float64)
     qmat = np.asarray(qmat, dtype=np.float64)
@@ -159,11 +177,10 @@ def em_fit(
     converged = False
     iterations = 0
     clamped: set[int] = set()
-    capped = False
     for it in range(max_iters):
         loglik = _loglik(responses, gate, params)
         mll = float(np.logaddexp.reduce(loglik + log_prior, axis=0).sum())
-        if trace and not capped and mll < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
+        if trace and mll < trace[-1] - 1e-9 * max(1.0, abs(trace[-1])):
             raise NumericalError(
                 f"marginal log-likelihood decreased at EM iteration {it}"
             )
@@ -178,8 +195,10 @@ def em_fit(
         unmastered = 1.0 - mastered
         n_mastered = mastered.sum(axis=1)
         n_unmastered = unmastered.sum(axis=1)
-        raw_slip = (mastered * (1.0 - responses)).sum(axis=1) / np.maximum(n_mastered, 1e-12)
-        raw_guess = (unmastered * responses).sum(axis=1) / np.maximum(n_unmastered, 1e-12)
+        slip_mass = (mastered * (1.0 - responses)).sum(axis=1)
+        guess_mass = (unmastered * responses).sum(axis=1)
+        raw_slip = slip_mass / np.maximum(n_mastered, 1e-12)
+        raw_guess = guess_mass / np.maximum(n_unmastered, 1e-12)
         clamped |= set(np.flatnonzero(
             (raw_slip < PARAM_FLOOR) | (raw_slip > PARAM_CEIL)
             | (raw_guess < PARAM_FLOOR) | (raw_guess > PARAM_CEIL)
@@ -187,10 +206,15 @@ def em_fit(
         slip = np.clip(raw_slip, PARAM_FLOOR, PARAM_CEIL)
         guess = np.clip(raw_guess, PARAM_FLOOR, PARAM_CEIL)
         over = slip + guess >= 1.0
-        capped = bool(over.any())
-        if capped:
-            clamped |= set(np.flatnonzero(over).tolist())
-            guess[over] = np.minimum(guess[over], PARAM_CEIL - slip[over])
+        if over.any():
+            idx = np.flatnonzero(over)
+            clamped |= set(idx.tolist())
+            guess[idx] = np.minimum(guess[idx], PARAM_CEIL - slip[idx])
+            mass = (slip_mass[idx], guess_mass[idx], n_mastered[idx], n_unmastered[idx])
+            keep = idx[_m_step_objective(slip[idx], guess[idx], *mass)
+                       < _m_step_objective(params.slip[idx], params.guess[idx], *mass)]
+            slip[keep] = params.slip[keep]
+            guess[keep] = params.guess[keep]
         params = DinaParams(slip, guess)
         iterations = it + 1
     if clamped:

@@ -185,9 +185,6 @@ PINNED_OPTIONS = {
         "qmatrix": (["--qmatrix"], None, None, None, None),
         "skills_grid": (["--skills-grid"], None, None, None, "4,8,16,32"),
         "q_weight_grid": (["--q-weight-grid"], None, None, None, "1.0"),
-        "ridge_item": (["--ridge-item"], float, None, None, 0.01),
-        "ridge_model": (["--ridge-model"], float, None, None, 0.01),
-        "ridge_concept": (["--ridge-concept"], float, None, None, 0.01),
         "max_iters": (["--max-iters"], int, None, None, 2000),
         "tol": (["--tol"], float, None, None, 1e-4),
         "seed": (["--seed"], int, None, None, 0),
@@ -728,22 +725,6 @@ def test_sweep_grid(tmp_path, monkeypatch):
     assert len(lines) == 1 + 4
     combos = {tuple(line.split(",")[:2]) for line in lines[1:]}
     assert combos == {("2", "0.5"), ("2", "1.0"), ("3", "0.5"), ("3", "1.0")}
-
-
-def test_one_point_sweep_fits_what_fit_fits(tmp_path, monkeypatch):
-    # sweep takes every fit option but the grid's, so ridge flags reach each grid point.
-    _write_fit_inputs(tmp_path)
-    monkeypatch.chdir(tmp_path)
-    shared = [
-        "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--ridge-item", "0.5",
-        "--starts", "1", "--max-iters", "20",
-    ]
-    assert main(["fit", *shared, "--skills", "2", "--out", "f"]) == 0
-    assert main(["sweep", *shared, "--skills-grid", "2", "--out", "sw"]) == 0
-    row = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1].split(",")
-    fitted = read_json(tmp_path / "f" / "fit.json")["objective_trace"][-1]
-    assert float(row[2]) == fitted
-    assert _manifest(tmp_path / "sw")["config"]["ridge_item"] == 0.5
 
 
 def test_sweep_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):

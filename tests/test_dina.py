@@ -134,12 +134,11 @@ def _correlated_world(seed):
     return rng.binomial(1, 0.75 * gate + 0.25 * (1.0 - gate)).astype(np.float64), q
 
 
-def test_em_capped_step_may_lower_loglik():
-    # A step where guess <= PARAM_CEIL - slip binds is not an exact M-step:
-    # the likelihood falls after one here, and the fit goes on.
+def test_em_capped_step_completes():
+    # The cap guess <= PARAM_CEIL - slip binds here, which is no exact M-step;
+    # keeping the better of the capped and previous parameters keeps EM monotone.
     X, Q = _correlated_world(2)
     res = em_fit(X, Q)
-    assert np.any(np.diff(res.loglik_trace) < 0)
     assert res.clamped_items
     assert np.all(res.params.slip + res.params.guess < 1.0)
 
