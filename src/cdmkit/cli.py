@@ -200,6 +200,8 @@ def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     logs = []
     for path in log_paths:
         logs.extend(load_response_logs(path))
+    if not logs:
+        raise ValidationError(f"{', '.join(log_paths)}: no attempts in the response logs")
     matrix = aggregate(logs, bank, repeats=eff["repeats"])
     out = _out_dir(eff)
     save_response_matrix(matrix, out / "scores.csv", out / "weights.csv")

@@ -36,7 +36,9 @@ class Attempt(NamedTuple):
 class ResponseLog:
     """All graded-able attempts for one model.  ``source`` is the file they
     were read from, if any, for errors to name; it is not part of equality.
-    Attempts are checked by :func:`aggregate`, over all logs of the model."""
+    Attempts are checked by :func:`aggregate`, over all logs of the model.
+    Entries may share objects: :func:`load_response_logs` gives every equal
+    attempt in a file, of any model, one immutable :class:`Attempt`."""
 
     model_id: str
     entries: tuple[Attempt, ...]
@@ -72,8 +74,16 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
     line has no edge whitespace to skip, and raises the error in json's
     usual words: ``raw_decode`` calls a BOM "Expecting value" and does not
     look for "Extra data" after the object.
+
+    Within one call, equal attempts are one object: every line with the same
+    ``(item, attempt, output)`` appends the same immutable :class:`Attempt`,
+    whose item id and output are one ``str`` per distinct text in the file.
+    The logs then hold one reference per line plus the file's distinct
+    attempts, so their memory grows with distinct attempts, not with lines.
     """
     by_model: dict[str, list[Attempt]] = {}
+    attempts: dict[tuple[str, int, str], Attempt] = {}
+    texts: dict[str, str] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -101,7 +111,17 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
                     f"{path}:{lineno}: {key} must be {_TYPE_NAMES[kind]}, "
                     f"got {json.dumps(rec[key])}"
                 )
-            by_model.setdefault(model, []).append(Attempt(item, index, output))
+            attempt = attempts.get((item, index, output))
+            if attempt is None:
+                item = texts.setdefault(item, item)
+                output = texts.setdefault(output, output)
+                attempt = Attempt(item, index, output)
+                # An Attempt hashes and compares as the tuple of its fields.
+                attempts[attempt] = attempt
+            entries = by_model.get(model)
+            if entries is None:
+                entries = by_model[model] = []
+            entries.append(attempt)
     with naming(path):
         return [
             ResponseLog(model, tuple(entries), source=str(path))

@@ -14,7 +14,9 @@ import pytest
 
 import cdmkit
 from cdmkit.bank import load_item_bank
-from cdmkit.cli import _effective, _load_annotations, _load_fit_inputs, build_parser, main
+from cdmkit.cli import (
+    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_grade, main,
+)
 from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
 from cdmkit.metrics import concept_counts
@@ -848,6 +850,18 @@ def _two_logs(first, second):
     return setup
 
 
+def _logs_without_attempts(root):
+    """Case setup: a valid bank.json, an empty empty.jsonl and a blank.jsonl of blank lines."""
+    _write_bank(root)
+    (root / "empty.jsonl").write_text("")
+    (root / "blank.jsonl").write_text("\n \t\n\n")
+
+
+def _grade_logs(root):
+    cmd_grade({"bank": str(root / "bank.json"), "logs": str(root / "*.jsonl"),
+               "repeats": 10, "out": str(root / "g")})
+
+
 def _aggregate_log(root):
     aggregate(load_response_logs(root / "log.jsonl"), load_item_bank(root / "bank.json"))
 
@@ -1068,6 +1082,9 @@ MALFORMED = [
      "b.jsonl: model 'gpt': attempt index outside [0, 10) on ['q1']"),
     ("log item not in the bank", _bank_and_log(LOG_RECORD.replace("q1", "q9")), _aggregate_log,
      ValidationError, GRADE_ARGV, 2, "log.jsonl", "log.jsonl: items not in the bank: ['q9']"),
+    # Log files that match but hold no attempt: grade names them all.
+    ("log files without attempts", _logs_without_attempts, _grade_logs, ValidationError,
+     GRADE_TWO_ARGV, 2, "blank.jsonl", "empty.jsonl: no attempts in the response logs"),
     ("config of 5,000 digits", _write("cfg.json", '{"max_iters": ' + "9" * 5000 + "}"),
      lambda root: read_json(root / "cfg.json"), FormatError, [*FIT_ARGV, "--config", "cfg.json"],
      2, "cfg.json", "cfg.json: invalid JSON (Exceeds the limit (4300 digits)"),

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -340,6 +341,45 @@ def test_valid_log_never_calls_json_loads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cdmkit.responses.json, "loads", refuse)
     assert load_response_logs(path) == [log]
+
+
+def test_equal_attempts_share_one_object(tmp_path):
+    path = tmp_path / "log.jsonl"
+    path.write_text(
+        '{"model": "m1", "item": "q1", "attempt": 0, "output": "The answer is A"}\n'
+        '{"model": "m1", "item": "q1", "attempt": 1, "output": "The answer is A"}\n'
+        '{"model": "m2", "item": "q1", "attempt": 0, "output": "The answer is A"}\n'
+        '{"model": "m2", "item": "q1", "attempt": 1, "output": "The answer is B"}\n'
+    )
+    (m1, m2) = logs = load_response_logs(path)
+    assert m1.entries[0] is m2.entries[0]
+    # Distinct attempts still share their item id and output texts.
+    assert m1.entries[1] is not m2.entries[1]
+    assert m1.entries[1].item_id is m2.entries[1].item_id is m1.entries[0].item_id
+    assert m1.entries[1].raw_output is m1.entries[0].raw_output
+    assert logs == _load_response_logs_per_line_loads(path)
+
+
+def test_logs_hold_distinct_attempts_once(tmp_path):
+    # 200 models x 30 items x 3 attempts over four outputs: 18,000 lines but
+    # 360 distinct attempts.  A line then costs its pointer in a log's entries.
+    outputs = ["The answer is A", "B", "I think it is C", "none of these"]
+    path = tmp_path / "log.jsonl"
+    with path.open("w") as fh:
+        for m in range(200):
+            for i in range(30):
+                for a in range(3):
+                    fh.write(json.dumps({"model": f"model-{m}", "item": f"item-{i}",
+                                         "attempt": a, "output": outputs[(m + i + a) % 4]}) + "\n")
+    n_lines = 200 * 30 * 3
+    tracemalloc.start()
+    try:
+        logs = load_response_logs(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(lg.entries) for lg in logs) == n_lines
+    assert held <= 64 * n_lines, f"{held / n_lines:.0f} bytes per line"
 
 
 def test_matrix_round_trip_is_bit_exact(tmp_path):
