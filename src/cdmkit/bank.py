@@ -174,15 +174,16 @@ def write_bank_json(
     ``(id, label)`` per concept and ``(id, prompt, answer key, tags)`` per
     item, the tags sorted.  This is the one home of that layout; the rows
     are not checked, so they come from an ``ItemBank`` or from a simulated
-    tag matrix."""
+    tag matrix.  Each item is written as ``items`` yields it, so the items
+    are never all held at once."""
     write_json(
         path,
         {
             "format_version": BANK_FORMAT_VERSION,
             "concepts": [{"id": cid, "label": label} for cid, label in concepts],
-            "items": [
+            "items": (
                 {"id": item_id, "prompt": prompt, "answer_key": key, "concepts": tags}
                 for item_id, prompt, key, tags in items
-            ],
+            ),
         },
     )

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import render_svg, save_heatmap_csv
-from .manifest import open_text, read_json, write_json, write_manifest
+from .manifest import naming, open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -363,7 +363,8 @@ def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
     if not eff["annotations"]:
         raise ValidationError("agreement requires --annotations")
     table = _load_annotations(eff["annotations"], eff["distance"])
-    report = krippendorff_alpha(table, distance=eff["distance"])
+    with naming(eff["annotations"]):
+        report = krippendorff_alpha(table, distance=eff["distance"])
     out = _out_dir(eff)
     write_json(out / "agreement.json", asdict(report))
     print(f"alpha={report.krippendorff_alpha:.4f} over {report.n_units} units -> {out}")

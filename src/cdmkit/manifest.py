@@ -6,8 +6,10 @@ checked for identity; the timestamp is the only field allowed to differ
 between identical reruns.  :func:`write_json` writes every JSON file: exactly
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
 newline, streamed to the file as they are encoded rather than built as one
-string.  :func:`read_json` reads every JSON input, every text input is
-opened through :func:`open_text`, and the input rules loaders share are here.
+string; a numpy array or a generator in the payload is written as the list
+it stands for, without that list being built.  :func:`read_json` reads every
+JSON input, every text input is opened through :func:`open_text`, and the
+input rules loaders share are here.
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ import json
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
+from types import GeneratorType
 from typing import Callable, Iterable, Iterator, TextIO
+
+import numpy as np
 
 from . import __version__
 from .errors import FormatError, ValidationError
 
 MANIFEST_NAME = "manifest.json"
-_CONTAINERS = (dict, list, tuple)
+_CONTAINERS = (dict, list, tuple, np.ndarray, GeneratorType)
+_EMPTY = object()  # what next() gives for a generator that yields nothing
 
 
 def write_json(path: str | Path, payload: object) -> None:
@@ -33,11 +40,14 @@ def write_json(path: str | Path, payload: object) -> None:
     it is encoded: the whole document is never held in memory.  If encoding
     fails, no file is left at ``path``.
 
-    A list, tuple or dict that holds another one is written item by item;
-    whether it does is checked once per distinct type of its items, and a
-    subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a container,
-    as it does for json.  Everything else, dict keys included, goes through
-    one json encoder per nesting depth, made once for the whole call."""
+    A numpy array is written as its ``tolist()`` would be, one row at a
+    time, and a generator as the list of what it yields (``[]`` if nothing),
+    taken one item at a time; json itself takes neither.  A list, tuple or
+    dict that holds another container is written item by item; whether it
+    does is checked once per distinct type of its items, and a subclass (a
+    ``NamedTuple``, an ``OrderedDict``) counts as a container, as it does
+    for json.  Everything else, dict keys included, goes through one json
+    encoder per nesting depth, made once for the whole call."""
     path = Path(path)
     fh = open(path, "w", encoding="utf-8")
     try:
@@ -68,25 +78,37 @@ def _write_value(
     encoders: _Encoders,
 ) -> None:
     """Write ``value`` as ``json.dumps`` does at nesting ``depth`` with
-    ``indent=2`` and ``sort_keys=True``.  A container that holds containers
-    is written item by item; anything else goes to the encoder of ``depth``
-    in one call."""
-    is_dict = isinstance(value, dict)
-    children = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+    ``indent=2`` and ``sort_keys=True``, an array as its ``tolist()`` and a
+    generator as the list it yields.  A generator, an array of two or more
+    dimensions (as its rows) and a container that holds containers are
+    written item by item; anything else goes to the encoder of ``depth`` in
+    one call."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist() if value.ndim < 2 else list(value)
     inner = "\n" + "  " * (depth + 1)
     encode = encoders[depth].encode
-    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
-        text = encode(value)
-        if children:  # json puts the brackets of a non-empty container on lines of their own
-            text = f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
-        write(text)
-        return
+    is_dict = isinstance(value, dict)
+    if isinstance(value, GeneratorType):
+        first = next(value, _EMPTY)
+        if first is _EMPTY:
+            write("[]")
+            return
+        items: Iterable[object] = chain((first,), value)
+    else:
+        children = value.values() if is_dict else value if isinstance(value, (list, tuple)) else ()
+        if not any(issubclass(t, _CONTAINERS) for t in set(map(type, children))):
+            text = encode(value)
+            if children:  # json puts the brackets of a non-empty container on lines of their own
+                text = f"{text[0]}{inner}{text[1:-1]}\n{'  ' * depth}{text[-1]}"
+            write(text)
+            return
+        # json sorts the items before it converts non-string keys.
+        items = sorted(value.items()) if is_dict else value
     if id(value) in open_ids:
         raise ValueError("Circular reference detected")
     open_ids.add(id(value))
     write(("{" if is_dict else "[") + inner)
-    # json sorts the items before it converts non-string keys.
-    for i, item in enumerate(sorted(value.items()) if is_dict else value):
+    for i, item in enumerate(items):
         if i:
             write("," + inner)
         if is_dict:

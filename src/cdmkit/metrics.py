@@ -104,8 +104,8 @@ def reconstruction_metrics(
     obs = observed[mask]
     if pred.size == 0:
         raise DegenerateDataError("no observed cells to score")
-    labels = (obs >= BINARIZE_THRESHOLD).astype(int)
-    pred_labels = (pred >= BINARIZE_THRESHOLD).astype(int)
+    labels = obs >= BINARIZE_THRESHOLD
+    pred_labels = pred >= BINARIZE_THRESHOLD
     accuracy = float((pred_labels == labels).mean())
     rmse = float(np.sqrt(((pred - obs) ** 2).mean()))
     if labels.min() == labels.max():

@@ -199,7 +199,10 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     """Write the world in pipeline-ready formats plus a truth bundle.
 
     Emits a stub item bank (synthetic ids/prompts), scores + weights CSVs,
-    the tag matrix CSV, and truth.json with factors and probabilities.
+    the tag matrix CSV, and truth.json with factors and probabilities.  The
+    bank's items are made one at a time as they are written, and the truth
+    arrays are written from the arrays a row at a time, so neither is held
+    as a whole list of Python objects.
     """
     from .bank import write_bank_json
     from .manifest import write_json
@@ -237,11 +240,11 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
 
     truth = {
         "config": sim.config.to_dict(),
-        "item_skill": sim.true_factors.item_skill.tolist(),
-        "skill_model": sim.true_factors.skill_model.tolist(),
-        "skill_concept": sim.true_factors.skill_concept.tolist(),
-        "p_response": sim.p_response.tolist(),
-        "p_mastery": sim.p_mastery.tolist(),
+        "item_skill": sim.true_factors.item_skill,
+        "skill_model": sim.true_factors.skill_model,
+        "skill_concept": sim.true_factors.skill_concept,
+        "p_response": sim.p_response,
+        "p_mastery": sim.p_mastery,
     }
     paths["truth"] = out_dir / "truth.json"
     write_json(paths["truth"], truth)

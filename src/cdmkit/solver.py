@@ -248,9 +248,12 @@ def _stack(
     ``ridge_model`` for every column of U and ``ridge_concept`` for every
     column of V, and the constant is ``Σ(W²∘X∘X) + β‖Q‖²``.
     """
+    n = scores.shape[1]
     w2 = weights * weights
-    w2x = w2 * scores
-    a = np.concatenate((w2x, config.q_weight * qmat), axis=1)
+    # A is filled in place, so that W²∘X and βQ are never arrays of their own.
+    a = np.empty((scores.shape[0], n + qmat.shape[1]))
+    w2x = np.multiply(w2, scores, out=a[:, :n])
+    np.multiply(config.q_weight, qmat, out=a[:, n:])
     ridge = np.repeat(
         (config.ridge_model, config.ridge_concept), (scores.shape[1], qmat.shape[1])
     )
@@ -554,8 +557,8 @@ def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
         "model_ids": list(m.model_ids),
         "concept_ids": list(m.concept_ids),
         # float64 first: an integer array would list ints, written without ".0".
-        "raw": np.asarray(m.raw, dtype=np.float64).tolist(),
-        "prob": np.asarray(m.prob, dtype=np.float64).tolist(),
+        "raw": np.asarray(m.raw, dtype=np.float64),
+        "prob": np.asarray(m.prob, dtype=np.float64),
     }
     write_json(bundle, payload)
     return [raw_path, prob_path, bundle]

@@ -15,7 +15,8 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import (
-    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_grade, main,
+    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_agreement, cmd_grade,
+    main,
 )
 from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
@@ -880,6 +881,11 @@ def _not_utf8(name, call, argv, before=lambda root: None):
             f"{name}: not UTF-8 text (invalid start byte)")
 
 
+def _agreement(root):
+    cmd_agreement({"annotations": str(root / "ann.csv"), "distance": "nominal",
+                   "out": str(root / "a")})
+
+
 def _load_scores(root):
     load_matrix_csv(root / "scores.csv")
 
@@ -1004,6 +1010,14 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
+    # Too few codings for alpha: agreement names the file.
+    *((f"annotations with {case}", _write("ann.csv", text), _agreement, ValidationError,
+       ["agreement", "--annotations", "ann.csv", "--out", "a"], 2, "ann.csv",
+       "ann.csv: need >= 2 coders and >= 1 unit with >= 2 codings")
+      for case, text in (
+          ("one coder", "unit,c1\nu0,a\nu1,b\n"),
+          ("no unit coded twice", "unit,c1,c2\nu0,a,\nu1,,b\n"),
+      )),
     # The bank is one JSON file, whatever its name: a CSV bank is invalid JSON.
     ("CSV bank", _write("items.csv", "id,prompt,answer_key,concepts\nq1,p1,A,c1\n"),
      lambda root: load_item_bank(root / "items.csv"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cdmkit import write_json
 
@@ -66,6 +67,70 @@ def test_write_json_is_json_dumps_bytes(tmp_path, value):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+# Arrays of each kind write_json is given, empty ones and 3-D ones among them.
+_shapes = st.sampled_from([(), (0,), (0, 3), (2, 0), (2, 0, 3)]) | hnp.array_shapes(
+    min_dims=0, max_dims=3, min_side=0, max_side=3
+)
+_arrays = (
+    hnp.arrays(np.float64, _shapes, elements=st.floats() | st.sampled_from([math.nan, -0.0]))
+    | hnp.arrays(np.int64, _shapes)
+    | hnp.arrays(np.bool_, _shapes)
+)
+
+
+class _Yields:
+    """Stands for a generator of ``items``; the test makes a fresh one per write."""
+
+    def __init__(self, items: list) -> None:
+        self.items = items
+
+    def __repr__(self) -> str:
+        return f"_Yields({self.items!r})"
+
+
+def _payload_and_list_form(spec):
+    """``spec`` with each ``_Yields`` a generator, and ``spec`` as json takes it:
+    each array its ``tolist()`` and each generator the list of what it yields."""
+    if isinstance(spec, np.ndarray):
+        return spec, spec.tolist()
+    if isinstance(spec, dict):
+        pairs = {key: _payload_and_list_form(item) for key, item in spec.items()}
+        return ({key: p for key, (p, _) in pairs.items()},
+                {key: plain for key, (_, plain) in pairs.items()})
+    if isinstance(spec, (list, _Yields)):
+        pairs = [_payload_and_list_form(item) for item in getattr(spec, "items", spec)]
+        payloads = (p for p, _ in pairs) if isinstance(spec, _Yields) else [p for p, _ in pairs]
+        return payloads, [plain for _, plain in pairs]
+    return spec, spec
+
+
+_lazy_values = st.recursive(
+    _scalars | _arrays,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(_text, children, max_size=4)
+        | st.lists(children, max_size=4).map(_Yields)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(np.array(-0.0))
+@example(np.array([[math.nan, math.inf], [-math.inf, -0.0]]))
+@example({"e": np.zeros(0), "r": np.zeros((0, 3)), "c": np.zeros((2, 0)), "t": np.zeros((2, 0, 3))})
+@example([np.arange(24).reshape(2, 3, 4), np.array([[True], [False]]), np.array(7)])
+@example(_Yields([]))
+@example({"g": _Yields([]), "h": _Yields([1, [2.5], _Yields([np.ones((2, 2))])]), "i": [_Yields([])]})
+@given(_lazy_values)
+def test_arrays_and_generators_are_written_as_their_lists(tmp_path, spec):
+    payload, plain = _payload_and_list_form(spec)
+    path = tmp_path / "v.json"
+    write_json(path, payload)
+    expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 @pytest.mark.parametrize("payload, message", [
     pytest.param({"a": list(range(100000)), "z": object()},
                  "Object of type object is not JSON serializable", id="value after a long list"),
@@ -100,6 +165,21 @@ def test_write_json_does_not_hold_the_document(tmp_path):
     tracemalloc.start()
     try:
         write_json(path, {"rows": rows})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.1 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+def test_write_json_does_not_list_an_array(tmp_path):
+    # The same matrix as an ndarray: it is written a row at a time, and its
+    # whole tolist() (about 10 MB of float objects) is never built.
+    matrix = np.random.default_rng(0).random((3000, 120))
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        write_json(path, {"rows": matrix})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -124,6 +124,18 @@ def test_rmse_invariant_under_permutation():
     assert a.accuracy == pytest.approx(b.accuracy)
 
 
+def test_boolean_labels_give_the_int_label_figures():
+    # Scores on a grid of tenths, so that predictions tie and sit at the threshold.
+    rng = np.random.default_rng(4)
+    observed = rng.integers(0, 11, (9, 7)) / 10
+    predicted = rng.integers(0, 11, (9, 7)) / 10
+    labels = (observed >= 0.5).astype(int)
+    rep = reconstruction_metrics(predicted, observed)
+    assert rep.accuracy == float(((predicted >= 0.5).astype(int) == labels).mean())
+    assert rep.auc == auc_mann_whitney(predicted, labels)
+    assert rep.rmse == float(np.sqrt(((predicted - observed) ** 2).mean()))
+
+
 def test_zero_weight_cells_are_ignored():
     observed = np.array([[1.0, 0.0], [0.0, 0.0]])
     predicted = np.array([[1.0, 0.0], [0.77, 0.0]])
