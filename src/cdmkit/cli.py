@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import render_svg, save_heatmap_csv
-from .manifest import naming, open_text, read_json, write_json, write_manifest
+from .manifest import first_duplicate, naming, open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -255,15 +255,15 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     config = McfConfig(**_fields(FIT_OPTIONS, eff))
     matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
     result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
+    mm = mastery(result.factors, model_ids=matrix.model_ids, concept_ids=concept_ids)
+    predicted = predict_scores(result.factors)
+    report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
     out = _out_dir(eff)
     save_factors(
         result.factors, out,
         item_ids=matrix.item_ids, model_ids=matrix.model_ids, concept_ids=concept_ids,
     )
-    mm = mastery(result.factors, model_ids=matrix.model_ids, concept_ids=concept_ids)
     save_mastery(mm, out)
-    predicted = predict_scores(result.factors)
-    report = reconstruction_metrics(predicted.values, matrix.scores, matrix.weights)
     write_json(out / "reconstruction.json", report.to_dict())
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,objective\n")
@@ -326,7 +326,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
 
 AGREEMENT_OPTIONS = (
     Option("annotations", str),
-    Option("distance", str, "nominal", choices=DISTANCES),
+    Option("distance", str, "nominal", choices=tuple(DISTANCES)),
     Option("out", str, "agreement_out"),
 )
 
@@ -344,6 +344,9 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
             rows.append(row)
     if len(rows) < 2:
         raise FormatError(f"{path}: need a header row and at least one unit")
+    dup = first_duplicate(row[0] for row in rows[1:] if row)
+    if dup is not None:
+        raise FormatError(f"{path}: duplicate unit id {dup!r}")
     table: list[list[object]] = []
     for row in rows[1:]:
         unit: list[object] = []
@@ -352,7 +355,7 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
             if not cell:
                 unit.append(None)
             elif distance == "jaccard":
-                unit.append(frozenset(part for part in cell.split(";") if part))
+                unit.append(frozenset(part.strip() for part in cell.split(";")) - {""})
             else:
                 unit.append(cell)
         table.append(unit)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Hashable, Iterable, Sequence
+from itertools import combinations
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -184,9 +186,6 @@ def render_concept_table(report: ConceptCountReport) -> str:
 # Inter-annotator agreement
 # ---------------------------------------------------------------------------
 
-DISTANCES = ("nominal", "jaccard")
-
-
 @dataclass(frozen=True)
 class AgreementReport:
     krippendorff_alpha: float
@@ -205,61 +204,53 @@ def _jaccard_distance(a: frozenset, b: frozenset) -> float:
     return 1.0 - len(a & b) / len(a | b)
 
 
-def _is_missing(v: object) -> bool:
-    return v is None or (isinstance(v, float) and np.isnan(v))
+# The one name -> distance table; ``agreement --distance`` offers its names.
+DISTANCES = {
+    "nominal": _nominal_distance,
+    "jaccard": _jaccard_distance,
+}
+
+
+def _pair_disagreement(counts: Counter, delta: Callable[[Any, Any], float]) -> float:
+    """Sum over unordered pairs of distinct values a, b of 2·n_a·n_b·δ(a, b)."""
+    return sum(
+        2.0 * n_a * n_b * delta(a, b)
+        for (a, n_a), (b, n_b) in combinations(counts.items(), 2)
+    )
 
 
 def krippendorff_alpha(
-    annotations: Sequence[Sequence[object]],
+    annotations: Sequence[Sequence[Hashable]],
     distance: str = "nominal",
 ) -> AgreementReport:
     """Chance-corrected agreement over a units-by-coders table.
 
-    Missing codings are ``None`` (or NaN); a unit contributes only if at least
-    two coders labelled it.  ``distance`` is "nominal" for atomic labels or
-    "jaccard" for set-valued labels (distance = 1 − overlap/union).
+    Missing codings are ``None``; a unit contributes only if at least two
+    coders labelled it.  ``distance`` is "nominal" for atomic labels or
+    "jaccard" for frozensets of labels (distance = 1 − overlap/union).
 
-    alpha = 1 − observed/expected disagreement, with expected disagreement
-    taken over all pairable values regardless of unit.
+    alpha = 1 − D_o/D_e in the coincidence form: with n pairable values,
+    D_o = Σ_u P(u)/(m_u − 1) / n over units u of m_u values, and
+    D_e = P(all units pooled) / (n(n − 1)), where P sums 2·n_a·n_b·δ(a, b)
+    over unordered pairs of distinct values.
     """
-    if distance == "nominal":
-        dist = _nominal_distance
-        norm = lambda v: v  # noqa: E731
-    elif distance == "jaccard":
-        dist = _jaccard_distance
-        norm = lambda v: frozenset(v) if isinstance(v, (set, frozenset, list, tuple)) else frozenset([v])  # noqa: E731
-    else:
+    delta = DISTANCES.get(distance)
+    if delta is None:
         raise ValidationError(f"unknown distance {distance!r}")
-
-    rows = [[norm(v) for v in row if not _is_missing(v)] for row in annotations]
-    n_coders = max((len(tuple(row)) for row in annotations), default=0)
-    pairable = [row for row in rows if len(row) >= 2]
+    n_coders = max((len(row) for row in annotations), default=0)
+    units = [Counter(v for v in row if v is not None) for row in annotations]
+    pairable = [unit for unit in units if unit.total() >= 2]
     if n_coders < 2 or not pairable:
         raise ValidationError("need >= 2 coders and >= 1 unit with >= 2 codings")
 
-    n_values = sum(len(row) for row in pairable)
-    observed = 0.0
-    for row in pairable:
-        m = len(row)
-        within = 0.0
-        for i in range(m):
-            for j in range(m):
-                if i != j:
-                    within += dist(row[i], row[j])
-        observed += within / (m - 1)
-    observed /= n_values
-
-    freq: dict[object, int] = {}
-    for row in pairable:
-        for v in row:
-            freq[v] = freq.get(v, 0) + 1
-    distinct = list(freq)
-    expected = 0.0
-    for a_i, va in enumerate(distinct):
-        for vb in distinct[a_i + 1 :]:
-            expected += 2.0 * freq[va] * freq[vb] * dist(va, vb)
-    expected /= n_values * (n_values - 1)
-
+    pooled: Counter = Counter()
+    for unit in pairable:
+        pooled.update(unit)
+    n_values = pooled.total()
+    observed = sum(
+        _pair_disagreement(unit, delta) / (unit.total() - 1) for unit in pairable
+    ) / n_values
+    expected = _pair_disagreement(pooled, delta) / (n_values * (n_values - 1))
     if expected == 0.0:
         raise DegenerateDataError(
             "zero expected disagreement: all codings identical, alpha undefined"

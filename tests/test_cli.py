@@ -576,6 +576,19 @@ def test_fit_non_finite_input_is_usage_error(tmp_path, monkeypatch, capsys, name
     assert f"{name}.csv" in err and "must be finite" in err
 
 
+def test_fit_failure_after_solving_leaves_no_out(tmp_path, monkeypatch, capsys):
+    # fit computes mastery, predictions and the reconstruction report before
+    # it creates --out, so a failure in any of them leaves nothing behind.
+    def fail(*args, **kwargs):
+        raise DegenerateDataError("no observed cells")
+
+    _write_fit_inputs(tmp_path)
+    monkeypatch.setattr("cdmkit.cli.reconstruction_metrics", fail)
+    assert _run_fit(tmp_path, monkeypatch) == 1
+    assert "no observed cells" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
 def test_fit_missing_scores_file(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["fit", "--scores", "no.csv", "--qmatrix", "also_no.csv"]) == 2
@@ -695,6 +708,19 @@ def test_agreement_jaccard_and_missing_cells(tmp_path, monkeypatch):
     assert rep["n_units"] == 3
     assert rep["n_coders"] == 3
     assert 0.0 < rep["krippendorff_alpha"] <= 1.0
+
+
+def test_agreement_jaccard_strips_label_parts(tmp_path, monkeypatch):
+    # "a; b" and "a;b" are one label set, as " a" and "a" are one nominal label.
+    monkeypatch.chdir(tmp_path)
+    for name, first in (("spaced", "a; b"), ("unspaced", "a;b")):
+        (tmp_path / f"{name}.csv").write_text(f"unit,c1,c2\nu0,{first},b;a\nu1,c,c\nu2,a,c\n")
+        assert main([
+            "agreement", "--annotations", f"{name}.csv", "--distance", "jaccard", "--out", name,
+        ]) == 0
+    spaced = (tmp_path / "spaced" / "agreement.json").read_bytes()
+    assert spaced == (tmp_path / "unspaced" / "agreement.json").read_bytes()
+    assert json.loads(spaced)["krippendorff_alpha"] == 0.5
 
 
 def test_agreement_degenerate_is_runtime_error(tmp_path, monkeypatch, capsys):
@@ -1010,6 +1036,10 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
+    ("duplicate unit id", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu0,a,b\nu1,b,b\n"),
+     lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
+     FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
+     "ann.csv", "ann.csv: duplicate unit id 'u0'"),
     # Too few codings for alpha: agreement names the file.
     *((f"annotations with {case}", _write("ann.csv", text), _agreement, ValidationError,
        ["agreement", "--annotations", "ann.csv", "--out", "a"], 2, "ann.csv",

@@ -89,7 +89,7 @@ def test_svg_deterministic():
     assert render_svg(_mastery(values)) == render_svg(_mastery(values.copy()))
 
 
-def test_grid_from_mastery_uses_probabilities():
+def test_svg_draws_prob_not_raw():
     # raw is drawn nowhere: the cells and their colors come from prob.
     svg = render_svg(_mastery([[0.2, 0.9]], raw=[[0.4, 1.8]]))
     assert re.findall(r'data-value="([^"]+)"', svg) == ["0.2", "0.9"]

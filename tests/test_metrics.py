@@ -252,17 +252,46 @@ def test_alpha_missing_codings_and_unit_filtering():
 
 def test_alpha_jaccard_sets():
     table = [
-        [{"a", "b"}, {"a", "b"}],
-        [{"c"}, {"c"}],
+        [frozenset("ab"), frozenset("ab")],
+        [frozenset("c"), frozenset("c")],
     ]
     assert krippendorff_alpha(table, distance="jaccard").krippendorff_alpha == 1.0
     partial = [
-        [{"a", "b"}, {"a"}],
-        [{"c"}, {"c"}],
-        [{"a", "b"}, {"a", "b"}],
+        [frozenset("ab"), frozenset("a")],
+        [frozenset("c"), frozenset("c")],
+        [frozenset("ab"), frozenset("ab")],
     ]
     rep = krippendorff_alpha(partial, distance="jaccard")
     assert 0.0 < rep.krippendorff_alpha < 1.0
+
+
+def test_alpha_krippendorff_2011_worked_example():
+    # "Computing Krippendorff's Alpha-Reliability" (2011), nominal data:
+    # 4 observers x 12 units, missing codings included; published alpha = .743.
+    observers = [
+        "1 2 3 3 2 1 4 1 2 . . .",
+        "1 2 3 3 2 2 4 1 2 5 . 3",
+        ". 3 3 3 2 3 4 2 2 5 1 .",
+        "1 2 3 3 2 4 4 1 2 5 1 .",
+    ]
+    codings = [[None if v == "." else v for v in line.split()] for line in observers]
+    table = [list(unit) for unit in zip(*codings)]
+    rep = krippendorff_alpha(table)
+    assert rep.krippendorff_alpha == 0.743421052631579
+    assert (rep.n_units, rep.n_coders) == (11, 4)
+
+
+def test_alpha_jaccard_by_hand():
+    # Pooled values {a,b} x3, {a} x1, {c} x2 (n = 6); delta({a,b},{a}) = 1/2,
+    # delta against {c} = 1.  D_o = (2 * 1/2) / 6 = 1/6; D_e = (2*3*1*1/2 +
+    # 2*3*2 + 2*1*2) / 30 = 19/30; alpha = 1 - (1/6)/(19/30) = 14/19.
+    table = [
+        [frozenset("ab"), frozenset("a")],
+        [frozenset("c"), frozenset("c")],
+        [frozenset("ab"), frozenset("ab")],
+    ]
+    rep = krippendorff_alpha(table, distance="jaccard")
+    assert rep.krippendorff_alpha == pytest.approx(14 / 19)
 
 
 def test_alpha_degenerate_single_category():
