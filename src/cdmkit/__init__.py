@@ -11,7 +11,7 @@ from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-from .bank import Concept, ConceptCatalog, Item, ItemBank, load_item_bank, qmatrix, save_item_bank
+from .bank import Concept, ConceptCatalog, Item, ItemBank, load_item_bank, qmatrix
 from .dina import (
     DinaParams,
     EmFitResult,
@@ -38,7 +38,6 @@ from .metrics import (
     ConceptCountRow,
     ReconstructionReport,
     auc_mann_whitney,
-    auc_pairwise,
     cluster_models,
     concept_counts,
     krippendorff_alpha,
@@ -54,7 +53,6 @@ from .responses import (
     load_response_logs,
     load_response_matrix,
     save_matrix_csv,
-    save_response_log,
     save_response_matrix,
 )
 from .simulate import RecoveryScore, SimConfig, SimOutput, recovery_score, save_sim_output, simulate
@@ -70,7 +68,6 @@ from .solver import (
     mastery,
     multistart_fit,
     objective,
-    objective_gradients,
     predict_scores,
     save_factors,
     save_fit_bundle,

@@ -153,18 +153,6 @@ def load_item_bank(path: str | Path) -> ItemBank:
         return ItemBank(items=tuple(items), catalog=ConceptCatalog(tuple(concepts)))
 
 
-def save_item_bank(bank: ItemBank, path: str | Path) -> None:
-    """Write the bank as the JSON file :func:`load_item_bank` reads."""
-    write_bank_json(
-        path,
-        ((c.concept_id, c.label) for c in bank.catalog.concepts),
-        (
-            (item.item_id, item.prompt, item.answer_key, sorted(item.concept_tags))
-            for item in bank.items
-        ),
-    )
-
-
 def write_bank_json(
     path: str | Path,
     concepts: Iterable[tuple[str, str]],
@@ -173,9 +161,9 @@ def write_bank_json(
     """Write a bank in the JSON layout :func:`load_item_bank` reads, from
     ``(id, label)`` per concept and ``(id, prompt, answer key, tags)`` per
     item, the tags sorted.  This is the one home of that layout; the rows
-    are not checked, so they come from an ``ItemBank`` or from a simulated
-    tag matrix.  Each item is written as ``items`` yields it, so the items
-    are never all held at once."""
+    are not checked, so they come from a simulated tag matrix or, in the
+    tests' ``save_item_bank``, from an ``ItemBank``.  Each item is written as
+    ``items`` yields it, so the items are never all held at once."""
     write_json(
         path,
         {

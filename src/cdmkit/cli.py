@@ -264,7 +264,7 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
         item_ids=matrix.item_ids, model_ids=matrix.model_ids, concept_ids=concept_ids,
     )
     save_mastery(mm, out)
-    write_json(out / "reconstruction.json", report.to_dict())
+    write_json(out / "reconstruction.json", asdict(report))
     with open(out / "trace.csv", "w", encoding="utf-8") as fh:
         fh.write("iteration,objective\n")
         for i, value in enumerate(result.objective_trace):
@@ -352,12 +352,10 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
         unit: list[object] = []
         for cell in row[1:]:
             cell = cell.strip()
-            if not cell:
-                unit.append(None)
-            elif distance == "jaccard":
-                unit.append(frozenset(part.strip() for part in cell.split(";")) - {""})
-            else:
-                unit.append(cell)
+            label = (frozenset(part.strip() for part in cell.split(";")) - {""}
+                     if distance == "jaccard" else cell)
+            # An empty cell, or a Jaccard cell of separators only, is missing.
+            unit.append(label or None)
         table.append(unit)
     return table
 

@@ -206,9 +206,6 @@ class RunManifest:
         default_factory=lambda: datetime.now(timezone.utc).isoformat()
     )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def write_manifest(
     out_dir: str | Path,
@@ -222,5 +219,5 @@ def write_manifest(
         command=command, config=config, input_digests=digests, seed=seed
     )
     path = Path(out_dir) / MANIFEST_NAME
-    write_json(path, manifest.to_dict())
+    write_json(path, asdict(manifest))
     return path

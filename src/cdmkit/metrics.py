@@ -1,9 +1,7 @@
 """Evaluation metrics: reconstruction quality, mastery counts, agreement, clustering.
 
-The AUC is implemented twice on purpose — a fast rank-based route and a
-brute-force pairwise oracle — and the test suite requires them to agree to
-1e-12.  Keeping the oracle in the package (not the tests) makes the
-equivalence a checkable property anywhere.
+The AUC is the rank-based Mann-Whitney form; gate 5 requires it to agree to
+1e-12 with a brute-force pairwise oracle kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +9,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
@@ -38,9 +36,6 @@ class ReconstructionReport:
     n_cells: int
     binarize_threshold: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
     """1-based ranks of a 1-D array, ties sharing the mean of their ranks."""
@@ -59,24 +54,6 @@ def auc_mann_whitney(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> f
         raise DegenerateDataError("AUC undefined: only one label class present")
     ranks = average_ranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def auc_pairwise(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> float:
-    """Brute-force oracle: average over every (positive, negative) pair."""
-    scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels).ravel()
-    pos_scores = scores[labels == 1]
-    neg_scores = scores[labels != 1]
-    if pos_scores.size == 0 or neg_scores.size == 0:
-        raise DegenerateDataError("AUC undefined: only one label class present")
-    total = 0.0
-    for p in pos_scores:
-        for q in neg_scores:
-            if p > q:
-                total += 1.0
-            elif p == q:
-                total += 0.5
-    return total / (pos_scores.size * neg_scores.size)
 
 
 def reconstruction_metrics(

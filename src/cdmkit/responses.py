@@ -129,24 +129,6 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
         ]
 
 
-def save_response_log(log_: ResponseLog, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in log_.entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "model": log_.model_id,
-                        "item": e.item_id,
-                        "attempt": e.attempt_index,
-                        "output": e.raw_output,
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-
-
 @dataclass(frozen=True)
 class ResponseMatrix:
     """Item-by-model score fractions plus the matching observation weights."""

@@ -77,9 +77,6 @@ class SimConfig:
                     "the most one simulated matrix may hold"
                 )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SimOutput:
@@ -239,7 +236,7 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     save_matrix_csv(sim.qmat, item_ids, concept_ids, paths["qmatrix"], corner="item_id")
 
     truth = {
-        "config": sim.config.to_dict(),
+        "config": asdict(sim.config),
         "item_skill": sim.true_factors.item_skill,
         "skill_model": sim.true_factors.skill_model,
         "skill_concept": sim.true_factors.skill_concept,

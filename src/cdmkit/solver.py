@@ -73,8 +73,9 @@ product keeps drifting in scale after its ranks have settled.
 ``tol=1e-6`` reproduces the earlier default exactly.
 
 :func:`objective` evaluates the same loss kernel from freshly formed
-products.  :func:`objective_gradients` keeps the direct residual form, so the
-gradient check compares the kernel against an independent formula.
+products.  The gradient check (gate 4) compares that kernel against analytic
+gradients in the direct residual form, an independent formula kept in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -125,9 +126,6 @@ class McfConfig:
             raise ValidationError("max_iters must be >= 0")
         if not 0 < self.tol < math.inf:
             raise ValidationError("tol must be finite and > 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -301,30 +299,6 @@ def objective(
     gram = config.q_weight * (v @ v.T) + config.ridge_item * np.eye(len(v))
     f = np.concatenate((u, v), axis=1)
     return _loss(const, e.T @ a, f, ridge, eu, w2 * eu, e.T @ e, gram)
-
-
-def objective_gradients(
-    factors: FactorSet,
-    scores: NDArray[np.float64],
-    weights: NDArray[np.float64],
-    qmat: NDArray[np.float64],
-    config: McfConfig,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Analytic gradients of the objective w.r.t. each factor.
-
-    These justify the multiplicative rules (each rule is gradient descent with
-    a positive per-entry step size) and are verified against central finite
-    differences in the test suite.
-    """
-    _check_problem(scores, weights, qmat)
-    e, u, v = factors.item_skill, factors.skill_model, factors.skill_concept
-    w2 = weights * weights
-    res_x = w2 * (scores - e @ u)
-    res_q = qmat - e @ v
-    grad_e = -2.0 * (res_x @ u.T) - 2.0 * config.q_weight * (res_q @ v.T) + 2.0 * config.ridge_item * e
-    grad_u = -2.0 * (e.T @ res_x) + 2.0 * config.ridge_model * u
-    grad_v = -2.0 * config.q_weight * (e.T @ res_q) + 2.0 * config.ridge_concept * v
-    return grad_e, grad_u, grad_v
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +508,7 @@ def save_fit_bundle(
     ``predicted`` is ``predict_scores(result.factors)``.
     """
     payload = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "seed": result.seed,
         "iterations_run": result.iterations_run,
         "converged": result.converged,

@@ -20,7 +20,6 @@ from cdmkit import (
     McfConfig,
     SimConfig,
     auc_mann_whitney,
-    auc_pairwise,
     concept_counts,
     em_fit,
     fit,
@@ -29,7 +28,6 @@ from cdmkit import (
     mastery,
     multistart_fit,
     objective,
-    objective_gradients,
     predict_scores,
     reconstruction_metrics,
     recovery_score,
@@ -37,6 +35,7 @@ from cdmkit import (
     simulate_dina,
 )
 from cdmkit.cli import main
+from oracles import auc_pairwise, objective_gradients
 
 SEEDS = (7, 11, 13, 17, 19)
 

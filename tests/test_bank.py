@@ -15,8 +15,8 @@ from cdmkit import (
     ValidationError,
     load_item_bank,
     qmatrix,
-    save_item_bank,
 )
+from oracles import save_item_bank
 
 
 def test_qmatrix_rows_follow_tags(tiny_bank):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -329,6 +330,9 @@ def test_star_import_binds_no_module():
     modules = [name for name, value in namespace.items() if isinstance(value, type(cdmkit))]
     assert modules == []
     assert {"aggregate", "load_item_bank", "ValidationError"} <= namespace.keys()
+    # Test oracles and fixture writers live in tests/oracles.py, not the package.
+    moved = {"objective_gradients", "auc_pairwise", "save_response_log", "save_item_bank"}
+    assert not moved & namespace.keys()
 
 
 def test_module_entry_point():
@@ -723,6 +727,21 @@ def test_agreement_jaccard_strips_label_parts(tmp_path, monkeypatch):
     assert json.loads(spaced)["krippendorff_alpha"] == 0.5
 
 
+@pytest.mark.parametrize("cell", [";", "; ;"])
+def test_agreement_jaccard_separator_only_cell_is_missing(tmp_path, monkeypatch, cell):
+    # A cell with no label left after stripping reads as missing, like an empty one.
+    monkeypatch.chdir(tmp_path)
+    for name, first in (("separators", cell), ("empty", "")):
+        (tmp_path / f"{name}.csv").write_text(f"unit,c1,c2\nu0,{first},a\nu1,a,a\nu2,b,a\n")
+        assert main([
+            "agreement", "--annotations", f"{name}.csv", "--distance", "jaccard", "--out", name,
+        ]) == 0
+    separators = (tmp_path / "separators" / "agreement.json").read_bytes()
+    assert separators == (tmp_path / "empty" / "agreement.json").read_bytes()
+    report = json.loads(separators)
+    assert (report["krippendorff_alpha"], report["n_units"]) == (0.0, 2)
+
+
 def test_agreement_degenerate_is_runtime_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "ann.csv").write_text("unit,c1,c2\nu0,x,x\nu1,x,x\n")
@@ -923,6 +942,22 @@ def _load_log(root):
 def _concept_counts_from_config(root):
     config = json.loads((root / "diagnose.json").read_text(encoding="utf-8"))
     concept_counts(load_mastery(root / "mastery.json"), threshold=config["threshold"])
+
+
+def _run_module_main(cwd, monkeypatch, capsys, argv):
+    """Run `python -m cdmkit *argv` in this process: ``cdmkit/__main__.py`` as
+    ``__main__`` in ``cwd``; return its exit code and stderr.  An exception that
+    is not ``SystemExit`` propagates, as a traceback would end the command."""
+    monkeypatch.chdir(cwd)
+    monkeypatch.setattr(sys, "argv", ["cdmkit", *argv])
+    capsys.readouterr()  # only what the command writes counts
+    try:
+        runpy.run_module("cdmkit", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        returncode = 0 if exc.code is None else exc.code
+    else:
+        returncode = 0
+    return returncode, capsys.readouterr().err
 
 
 # (case id, setup, library call, exception, argv, exit code, named file, message)
@@ -1151,8 +1186,10 @@ MALFORMED = [
     "setup, call, error, argv, code, named, message",
     [pytest.param(*case[1:], id=case[0]) for case in MALFORMED],
 )
-def test_malformed_input_table(tmp_path, setup, call, error, argv, code, named, message):
-    """Each case through the library call, then as a command in a fresh interpreter."""
+def test_malformed_input_table(
+    tmp_path, monkeypatch, capsys, setup, call, error, argv, code, named, message
+):
+    """Each case through the library call, then as the command `python -m cdmkit`."""
     _write_fit_inputs(tmp_path)
     prob = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     save_mastery(
@@ -1164,13 +1201,10 @@ def test_malformed_input_table(tmp_path, setup, call, error, argv, code, named, 
         call(tmp_path)
     # Each file a message names, it names once.
     assert str(caught.value).count(str(tmp_path / named)) <= 1
-    proc = subprocess.run(
-        [sys.executable, "-m", "cdmkit", *argv],
-        cwd=tmp_path, capture_output=True, text=True, env=_child_env(),
-    )
-    assert proc.returncode == code, proc.stderr
-    assert message in proc.stderr and named in proc.stderr
-    assert "Traceback" not in proc.stderr
+    returncode, stderr = _run_module_main(tmp_path, monkeypatch, capsys, argv)
+    assert returncode == code, stderr
+    assert message in stderr and named in stderr
+    assert "Traceback" not in stderr
     assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 

@@ -10,7 +10,6 @@ from cdmkit import (
     MasteryMatrix,
     ValidationError,
     auc_mann_whitney,
-    auc_pairwise,
     cluster_models,
     concept_counts,
     krippendorff_alpha,
@@ -18,6 +17,7 @@ from cdmkit import (
     render_concept_table,
 )
 from cdmkit.metrics import average_ranks
+from oracles import auc_pairwise
 
 
 def _mm(prob, model_ids=None):

@@ -28,11 +28,11 @@ from cdmkit import (
     grade,
     load_response_logs,
     load_response_matrix,
-    save_response_log,
     save_response_matrix,
 )
 from cdmkit.manifest import open_text
 from cdmkit.responses import load_matrix_csv, save_matrix_csv
+from oracles import save_response_log
 
 
 def _log(model, *entries):

@@ -14,12 +14,12 @@ from cdmkit import (
     load_response_matrix,
     qmatrix,
     recovery_score,
-    save_item_bank,
     save_sim_output,
     simulate,
 )
 from cdmkit.responses import load_matrix_csv
 from cdmkit.simulate import GAMMA_ITEM, MAX_MATRIX_ELEMENTS, REPEATS, sigmoid
+from oracles import save_item_bank
 
 
 def _small(seed=0, **overrides):

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cdmkit import (
     mastery,
     multistart_fit,
     objective,
-    objective_gradients,
     predict_scores,
     recovery_score,
     save_factors,
@@ -28,6 +28,7 @@ from cdmkit import (
     simulate,
 )
 from cdmkit.solver import EPSILON, _init_factors
+from oracles import objective_gradients
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -494,7 +495,7 @@ def test_config_validation(kwargs):
 
 def test_config_dict_round_trip():
     cfg = McfConfig(n_skills=5, q_weight=2.0, seed=44, tol=1e-6)
-    assert McfConfig(**cfg.to_dict()) == cfg
+    assert McfConfig(**asdict(cfg)) == cfg
 
 
 def test_factor_set_validation():
