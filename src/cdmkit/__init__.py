@@ -30,7 +30,7 @@ from .errors import (
 )
 from .grading import extract_choice, grade
 from .heatmap import cell_color, render_svg, save_heatmap_csv
-from .manifest import RunManifest, sha256_file, write_json, write_manifest
+from .manifest import sha256_file, write_json, write_manifest
 from .metrics import (
     AgreementReport,
     ClusterResult,

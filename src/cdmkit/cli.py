@@ -26,6 +26,8 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bank import load_item_bank
 from .errors import (
@@ -241,6 +243,15 @@ def _load_fit_inputs(eff: dict, command: str):
         raise DimensionError(
             f"item ids in {eff['qmatrix']} do not match {eff['scores']}"
         )
+    if not concept_ids:
+        raise FormatError(f"{eff['qmatrix']}: no concept columns")
+    bad = np.argwhere((qmat != 0) & (qmat != 1))
+    if bad.size:
+        i, k = bad[0]
+        raise ValidationError(
+            f"{eff['qmatrix']}: row {q_item_ids[i]!r}, column {concept_ids[k]!r} holds "
+            f"{float(qmat[i, k])!r}; Q-matrix cells must be 0 or 1"
+        )
     untagged = [c for c, tagged in zip(concept_ids, qmat.any(axis=0)) if not tagged]
     if untagged:
         log.warning(
@@ -265,11 +276,7 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
     )
     save_mastery(mm, out)
     write_json(out / "reconstruction.json", asdict(report))
-    with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-        fh.write("iteration,objective\n")
-        for i, value in enumerate(result.objective_trace):
-            fh.write(f"{i},{repr(value)}\n")
-    save_fit_bundle(result, config, predicted, out / "fit.json")
+    save_fit_bundle(result, predicted, out)
     auc_text = "absent" if report.auc is None else f"{report.auc:.4f}"
     print(
         f"fit seed={result.seed} objective={result.objective:.6g} "
@@ -294,6 +301,8 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     if not eff["mastery"]:
         raise ValidationError("diagnose requires --mastery (a mastery.json bundle)")
     mm = load_mastery(eff["mastery"])
+    if not mm.n_concepts:
+        raise ValidationError(f"{eff['mastery']}: no concepts to diagnose")
     # Everything that can fail runs before --out is touched, so a failed run
     # leaves no partial outputs.
     report = concept_counts(mm, threshold=eff["threshold"])
@@ -301,7 +310,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     svg = render_svg(mm)
     try:
         clusters = cluster_models(mm, n_clusters=eff["clusters"])
-        clusters_doc: dict = {"n_clusters": eff["clusters"], **asdict(clusters)}
+        clusters_doc = asdict(clusters)
     except DegenerateDataError as exc:
         log.warning("clustering skipped: %s", exc)
         clusters_doc = {"skipped": str(exc)}

@@ -67,15 +67,13 @@ def mark(raw_output: str, key: str) -> int | None:
 
 
 def grade(raw_output: str, answer_key: str) -> int:
-    """Score one attempt: 1 iff the extracted answer matches the key."""
-    if not answer_key.strip():
-        raise ValueError("empty answer key")
+    """Score one attempt: 1 iff the extracted answer matches the key.  A key
+    with no choice letter A–D, a blank one included, is a ``ValueError``."""
     key = normalize_key(answer_key)
-    result = mark(raw_output, key)
-    if result is not None:
-        return result
     if not key:
-        log.warning("answer key %r contains no choice letters; scoring 0", answer_key)
-    else:
+        raise ValueError(f"answer key {answer_key!r} holds no choice letter A-D")
+    result = mark(raw_output, key)
+    if result is None:
         log.warning("could not extract a choice from output %r; scoring 0", raw_output[:80])
-    return 0
+        return 0
+    return result

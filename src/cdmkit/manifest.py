@@ -1,7 +1,8 @@
 """Run manifests: what ran, on which inputs, with which effective config.
 
 Every successful CLI command writes one ``manifest.json`` into its output
-directory.  Input files are recorded by content digest so a rerun can be
+directory; it is the one record of the run's settings, which no other output
+repeats.  Input files are recorded by content digest so a rerun can be
 checked for identity; the timestamp is the only field allowed to differ
 between identical reruns.  :func:`write_json` writes every JSON file: exactly
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
@@ -17,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -195,18 +195,6 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    input_digests: dict[str, str]
-    seed: int | None
-    tool_version: str = __version__
-    created_at: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-
 def write_manifest(
     out_dir: str | Path,
     command: str,
@@ -214,10 +202,13 @@ def write_manifest(
     inputs: list[str | Path] | None = None,
     seed: int | None = None,
 ) -> Path:
-    digests = {str(p): sha256_file(p) for p in (inputs or [])}
-    manifest = RunManifest(
-        command=command, config=config, input_digests=digests, seed=seed
-    )
     path = Path(out_dir) / MANIFEST_NAME
-    write_json(path, asdict(manifest))
+    write_json(path, {
+        "command": command,
+        "config": config,
+        "input_digests": {str(p): sha256_file(p) for p in (inputs or [])},
+        "seed": seed,
+        "tool_version": __version__,
+        "created_at": datetime.now(timezone.utc).isoformat(),
+    })
     return path

@@ -2,6 +2,9 @@
 
 The AUC is the rank-based Mann-Whitney form; gate 5 requires it to agree to
 1e-12 with a brute-force pairwise oracle kept in ``tests/oracles.py``.
+Reports hold results only: the distance or cluster count asked for is the
+caller's (the CLI records it in ``manifest.json``), and the binarizing
+threshold is the constant ``BINARIZE_THRESHOLD``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class ReconstructionReport:
     auc: float | None
     rmse: float
     n_cells: int
-    binarize_threshold: float
 
 
 def average_ranks(values: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -97,7 +99,6 @@ def reconstruction_metrics(
         auc=auc,
         rmse=rmse,
         n_cells=int(pred.size),
-        binarize_threshold=BINARIZE_THRESHOLD,
     )
 
 
@@ -168,7 +169,6 @@ class AgreementReport:
     krippendorff_alpha: float
     n_units: int
     n_coders: int
-    distance: str
 
 
 def _nominal_distance(a: Hashable, b: Hashable) -> float:
@@ -236,7 +236,6 @@ def krippendorff_alpha(
         krippendorff_alpha=1.0 - observed / expected,
         n_units=len(pairable),
         n_coders=n_coders,
-        distance=distance,
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +236,6 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     save_matrix_csv(sim.qmat, item_ids, concept_ids, paths["qmatrix"], corner="item_id")
 
     truth = {
-        "config": asdict(sim.config),
         "item_skill": sim.true_factors.item_skill,
         "skill_model": sim.true_factors.skill_model,
         "skill_concept": sim.true_factors.skill_concept,

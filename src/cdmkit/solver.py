@@ -82,7 +82,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -171,13 +171,17 @@ class FactorSet:
 class FitResult:
     factors: FactorSet
     objective_trace: tuple[float, ...]
-    iterations_run: int
     converged: bool
     seed: int
 
     @property
     def objective(self) -> float:
         return self.objective_trace[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        """Update steps run; the trace's first entry is the objective at initialization."""
+        return len(self.objective_trace) - 1
 
 
 @dataclass(frozen=True)
@@ -361,7 +365,6 @@ def fit(
     gram = beta * (v @ v.T) + ridge_eye
     trace = [_loss(const, e.T @ a, f, ridge, eu, w2eu, e.T @ e, gram)]
     converged = False
-    iterations = 0
     for it in range(config.max_iters):
         e *= (a @ f.T) / (w2eu @ u.T + e @ gram + EPSILON)
         eta = e.T @ a
@@ -382,7 +385,6 @@ def fit(
         w2eu = w2 * eu
         gram = beta * (v @ v.T) + ridge_eye
         val = _loss(const, eta, f, ridge, eu, w2eu, ete, gram)
-        iterations = it + 1
         trace.append(val)
         if trace[-2] - val < config.tol * abs(trace[-2]):
             converged = True
@@ -391,7 +393,6 @@ def fit(
     return FitResult(
         factors=FactorSet(e, np.ascontiguousarray(u), np.ascontiguousarray(v)),
         objective_trace=tuple(trace),
-        iterations_run=iterations,
         converged=converged,
         seed=config.seed,
     )
@@ -501,21 +502,27 @@ def load_factors(out_dir: str | Path) -> FactorSet:
 
 
 def save_fit_bundle(
-    result: FitResult, config: McfConfig, predicted: PredictedScores, path: str | Path
+    result: FitResult, predicted: PredictedScores, out_dir: str | Path
 ) -> None:
-    """JSON sidecar for a fit: config, trace, convergence, clip diagnostics.
+    """Write the record of a fit: ``trace.csv``, one line per objective value
+    of the trace (the first at initialization), and ``fit.json`` with the
+    seed, iterations run, convergence and the number of clipped prediction
+    cells.  The run's settings are in its ``manifest.json``.
 
     ``predicted`` is ``predict_scores(result.factors)``.
     """
+    out_dir = Path(out_dir)
+    with open(out_dir / "trace.csv", "w", encoding="utf-8") as fh:
+        fh.write("iteration,objective\n")
+        for i, value in enumerate(result.objective_trace):
+            fh.write(f"{i},{repr(value)}\n")
     payload = {
-        "config": asdict(config),
         "seed": result.seed,
         "iterations_run": result.iterations_run,
         "converged": result.converged,
-        "objective_trace": list(result.objective_trace),
         "clipped_prediction_cells": predicted.n_clipped,
     }
-    write_json(path, payload)
+    write_json(out_dir / "fit.json", payload)
 
 
 def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:

@@ -187,7 +187,8 @@ def _banks(draw):
         Item(
             item_id,
             draw(_text),
-            draw(_text.filter(str.strip)),
+            # A key holds a choice letter A-D somewhere.
+            draw(_text) + draw(st.sampled_from("ABCDabcd")) + draw(_text),
             frozenset(draw(st.lists(st.sampled_from(concept_ids), min_size=1, max_size=3))),
         )
         for item_id in item_ids

@@ -16,8 +16,8 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import (
-    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_agreement, cmd_grade,
-    main,
+    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_agreement, cmd_diagnose,
+    cmd_grade, main,
 )
 from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
@@ -465,12 +465,34 @@ def test_fit_happy_path(tmp_path, monkeypatch, capsys):
     assert all(b <= a + 1e-9 for a, b in zip(objective, objective[1:]))
 
     fit_meta = json.loads((out / "fit.json").read_text())
-    assert fit_meta["objective_trace"][-1] == objective[-1]
-    assert fit_meta["config"]["n_skills"] == 3
+    assert fit_meta["iterations_run"] == len(objective) - 1
 
     recon = json.loads((out / "reconstruction.json").read_text())
     assert set(recon) >= {"accuracy", "auc", "rmse", "n_cells"}
     assert recon["n_cells"] == 60
+
+
+def test_settings_only_in_manifest_and_trace_only_in_trace_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ann.csv").write_text("unit,c1,c2\nu0,a,a\nu1,a,b\nu2,b,b\n")
+    for argv in (
+        SIM_ARGS,
+        ["fit", "--scores", "world/scores.csv", "--qmatrix", "world/qmatrix.csv",
+         "--skills", "2", "--starts", "1", "--out", "f"],
+        ["diagnose", "--mastery", "f/mastery.json", "--out", "d"],
+        ["agreement", "--annotations", "ann.csv", "--out", "a"],
+    ):
+        assert main(argv) == 0
+    records = {p.name: read_json(p) for p in tmp_path.glob("*/*.json") if p.name != "manifest.json"}
+    assert set(records) >= {
+        "truth.json", "fit.json", "reconstruction.json", "clusters.json", "agreement.json",
+    }
+    for name, payload in records.items():
+        assert not {"config", "n_clusters", "distance", "binarize_threshold"} & set(payload), name
+    fit_meta = records["fit.json"]
+    assert set(fit_meta) == {"seed", "iterations_run", "converged", "clipped_prediction_cells"}
+    trace_rows = (tmp_path / "f" / "trace.csv").read_text().splitlines()[1:]
+    assert fit_meta["iterations_run"] == len(trace_rows) - 1
 
 
 def test_fit_rerun_byte_identical(tmp_path, monkeypatch):
@@ -814,6 +836,10 @@ FIT_ARGV = [
     "--qmatrix", "qmatrix.csv", "--skills", "2", "--starts", "1",
     "--max-iters", "5", "--out", "f",
 ]
+SWEEP_ARGV = [
+    "sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2",
+    "--max-iters", "5", "--out", "sw",
+]
 DIAGNOSE_ARGV = ["diagnose", "--mastery", "mastery.json", "--out", "d"]
 GRADE_ARGV = ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--out", "g"]
 GRADE_CSV_ARGV = ["grade", "--bank", "items.csv", "--logs", "log.jsonl", "--out", "g"]
@@ -861,7 +887,7 @@ def _write_bank(root):
         "concepts": [{"id": "c1", "label": "loops"}],
         "items": [
             {"id": "q1", "prompt": "p1", "answer_key": "A", "concepts": ["c1"]},
-            {"id": "q2", "prompt": "p2", "answer_key": "yes", "concepts": ["c1"]},
+            {"id": "q2", "prompt": "p2", "answer_key": "B", "concepts": ["c1"]},
         ],
     }
     (root / "bank.json").write_text(json.dumps(bank))
@@ -926,6 +952,18 @@ def _not_utf8(name, call, argv, before=lambda root: None):
             f"{name}: not UTF-8 text (invalid start byte)")
 
 
+def _diagnose(root):
+    cmd_diagnose({"mastery": str(root / "mastery.json"), "threshold": 0.9, "clusters": 2,
+                  "out": str(root / "d")})
+
+
+def _load_fit_files(command):
+    def call(root):
+        _load_fit_inputs({"scores": root / "scores.csv", "weights": root / "weights.csv",
+                          "qmatrix": root / "qmatrix.csv"}, command)
+    return call
+
+
 def _agreement(root):
     cmd_agreement({"annotations": str(root / "ann.csv"), "distance": "nominal",
                    "out": str(root / "a")})
@@ -988,11 +1026,15 @@ MALFORMED = [
     ("empty file", _write("scores.csv", ""), _load_scores,
      FormatError, FIT_ARGV, 2, "scores.csv", "empty matrix file"),
     ("header-only scores", _edit_lines(lambda ls: ls[:1], "scores.csv", "weights.csv"),
-     lambda root: _load_fit_inputs({
-         "scores": root / "scores.csv", "weights": root / "weights.csv",
-         "qmatrix": root / "qmatrix.csv",
-     }, "fit"),
-     FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
+     _load_fit_files("fit"), FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
+    # Q-matrix rules name the Q-matrix file, in fit and in sweep.
+    ("qmatrix without concept columns",
+     _edit_lines(lambda ls: [line.split(",")[0] for line in ls], "qmatrix.csv"),
+     _load_fit_files("fit"), FormatError, FIT_ARGV, 2, "qmatrix.csv",
+     "qmatrix.csv: no concept columns"),
+    ("qmatrix cell 2", _edit_lines(_set_cell(2, 1, "2"), "qmatrix.csv"), _load_fit_files("sweep"),
+     ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
+     "qmatrix.csv: row 'q1', column 'c0' holds 2.0; Q-matrix cells must be 0 or 1"),
     ("mastery missing a field", _edit_mastery(lambda p: p.pop("model_ids")),
      lambda root: load_mastery(root / "mastery.json"),
      ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "missing field 'model_ids'"),
@@ -1016,6 +1058,10 @@ MALFORMED = [
           ("cell of 400 digits", lambda p: p["raw"][1].__setitem__(0, 10**400),
            "malformed field 'raw' (int too large to convert to float)"),
       )),
+    ("mastery without concepts",
+     _edit_mastery(lambda p: p.update(concept_ids=[], raw=[[]] * 3, prob=[[]] * 3)),
+     _diagnose, ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
+     "mastery.json: no concepts to diagnose"),
     ("mastery format_version 99", _edit_mastery(lambda p: p.__setitem__("format_version", 99)),
      lambda root: load_mastery(root / "mastery.json"),
      FormatError, DIAGNOSE_ARGV, 2, "mastery.json", "unsupported format_version 99 (expected 1)"),
@@ -1050,6 +1096,9 @@ MALFORMED = [
            "item 'q1': no concept tags"),
           ("empty answer key", lambda p: p["items"][1].__setitem__("answer_key", " "),
            "item 'q2': empty answer key"),
+          ("answer key without a choice letter",
+           lambda p: p["items"][1].__setitem__("answer_key", "E"),
+           "item 'q2': answer key 'E' holds no choice letter A-D"),
           ("unknown tag", lambda p: p["items"][0].__setitem__("concepts", ["c9", "c1"]),
            "item 'q1': unknown concept tag 'c9'"),
       )),
@@ -1254,10 +1303,9 @@ WARNING_CASES = [
      ["diagnose", "--mastery", "mastery.json"],
      ["excluding all-zero mastery rows: ('m1',)",
       "clustering skipped: need at least 2 non-zero mastery rows to cluster"]),
-    ("grade: unparseable output and a key without letters", _graded_logs,
+    ("grade: unparseable output", _graded_logs,
      ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--repeats", "2"],
-     ["could not extract a choice from output 'I am not sure.'; scoring 0",
-      "answer key 'YES' contains no choice letters; scoring 0"]),
+     ["could not extract a choice from output 'I am not sure.'; scoring 0"]),
     ("agreement: none", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu1,a,b\n"),
      ["agreement", "--annotations", "ann.csv"], []),
 ]

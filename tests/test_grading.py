@@ -73,9 +73,9 @@ def test_empty_key_raises():
         grade("A", "   ")
 
 
-def test_key_without_choice_letters_scores_zero(caplog):
-    with caplog.at_level(logging.WARNING, logger="cdmkit.grading"):
-        assert grade("A", "42") == 0
+def test_key_without_choice_letters_raises():
+    with pytest.raises(ValueError, match="'42' holds no choice letter"):
+        grade("A", "42")
 
 
 def test_default_rule_is_deterministic():

@@ -485,11 +485,11 @@ def _grade_every_attempt(logs, bank, repeats):
 
 
 # q1 and q4 share the output pool under a single- and a multi-letter key, and
-# q5's key holds no choice letter, so every one of its attempts warns.
+# no output answers q5's key.
 _AGG_BANK = ItemBank(
     items=tuple(
         Item(iid, "prompt", key, frozenset({"c"}))
-        for iid, key in (("q1", "B"), ("q2", "A"), ("q3", "BC"), ("q4", "cb"), ("q5", "42"))
+        for iid, key in (("q1", "B"), ("q2", "A"), ("q3", "BC"), ("q4", "cb"), ("q5", "D"))
     ),
     catalog=ConceptCatalog((Concept("c", "concept"),)),
 )
