@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
-from .grading import normalize_key
+from .grading import checked_key
 from .manifest import check_format_version, first_duplicate, naming, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
@@ -62,10 +62,10 @@ class Item:
             raise ValidationError("item with empty id")
         if not self.answer_key.strip():
             raise ValidationError(f"item {self.item_id!r}: empty answer key")
-        if not normalize_key(self.answer_key):
-            raise ValidationError(
-                f"item {self.item_id!r}: answer key {self.answer_key!r} holds no choice letter A-D"
-            )
+        try:
+            checked_key(self.answer_key)
+        except ValueError as exc:
+            raise ValidationError(f"item {self.item_id!r}: {exc}") from None
         if not self.concept_tags:
             raise ValidationError(f"item {self.item_id!r}: no concept tags")
         object.__setattr__(self, "answer_key", self.answer_key.strip().upper())

@@ -55,6 +55,22 @@ def normalize_key(answer_key: str) -> str:
     return "".join(sorted(set(answer_key.upper()) & set("ABCD")))
 
 
+def checked_key(answer_key: str) -> str:
+    """:func:`normalize_key` of a key that names choices and nothing else, or
+    ``ValueError``.  The key must hold a choice letter A–D and no other letter
+    or digit, so "A, C" is the key AC, but "Answer: B" is refused: its
+    letters N, S, W, E, R would otherwise be dropped silently, and its A kept."""
+    key = normalize_key(answer_key)
+    if not key:
+        raise ValueError(f"answer key {answer_key!r} holds no choice letter A-D")
+    other = next((c for c in answer_key.upper() if c.isalnum() and c not in "ABCD"), None)
+    if other is not None:
+        raise ValueError(
+            f"answer key {answer_key!r} holds {other!r}, which is not a choice letter A-D"
+        )
+    return key
+
+
 def mark(raw_output: str, key: str) -> int | None:
     """1 or 0 for an output against a :func:`normalize_key` key, or None when
     the attempt cannot be graded: the key holds no choice letter or nothing
@@ -68,10 +84,8 @@ def mark(raw_output: str, key: str) -> int | None:
 
 def grade(raw_output: str, answer_key: str) -> int:
     """Score one attempt: 1 iff the extracted answer matches the key.  A key
-    with no choice letter A–D, a blank one included, is a ``ValueError``."""
-    key = normalize_key(answer_key)
-    if not key:
-        raise ValueError(f"answer key {answer_key!r} holds no choice letter A-D")
+    :func:`checked_key` refuses, a blank one included, is a ``ValueError``."""
+    key = checked_key(answer_key)
     result = mark(raw_output, key)
     if result is None:
         log.warning("could not extract a choice from output %r; scoring 0", raw_output[:80])

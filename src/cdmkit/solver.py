@@ -43,6 +43,30 @@ cross term cancels ``‖Q‖²``.  The rounding this costs stayed below 2e-14 of
 the objective computed from explicit residuals, on gate-sized worlds at 5 and
 32 skills and on a 3000 × 120 × 300 one: far below the stop rule's tolerance.
 
+When every weight is 1 (``fit`` without ``--weights``, and every simulated
+world), ``W²∘EU = EU`` and the score block takes the Gram form of unweighted
+NMF (Lee & Seung 2001), as the tag block already does:
+
+    (EU)Uᵀ = E(UUᵀ),   Eᵀ(EU) = (EᵀE)U,   ⟨EU, EU⟩ = ⟨EᵀE, UUᵀ⟩
+
+so that, with ``G = UUᵀ + βVVᵀ + λ_E I``,
+
+    E ← E ∘ (A Fᵀ) / (E G + ε)
+    F ← F ∘ (EᵀA) / ([EᵀE U | β EᵀE V] + ridge ∘ F + ε)
+
+and the objective is ``Σ(X∘X) + β‖Q‖² − 2⟨EᵀA, F⟩ + ⟨EᵀE, G⟩ + ⟨F, ridge ∘ F⟩``.
+Neither ``W²`` nor ``EU`` is formed: what is left of an iteration is
+``A Fᵀ``, ``EᵀA``, ``EᵀE`` and products of skills × skills or skills ×
+columns.  The weights choose the form (all exactly 1, or not), and
+:func:`objective` takes the same one, so it reproduces the trace to the last
+bit.  The two forms differ only by rounding: on the bench's simulated
+worlds, each start and sweep point ran the same iterations in both, and
+their traces agreed within 3.3e-14 relative.  On the bench's 3000 × 120 ×
+300 world at 16 skills (2-core box, numpy 2.4 with OpenBLAS, traced
+``solver.us_per_iter``), an iteration took 4457 µs in the weighted form and
+2416 µs in the Gram form; ``A Fᵀ`` and ``EᵀA``, one pass each over the
+10 MB ``A``, are about 70% of what is left.
+
 The stop rule: a fit stops, ``converged``, after the first iteration whose
 objective falls by less than ``tol`` times the previous objective, and
 otherwise after ``max_iters`` iterations.  The default ``tol`` is 1e-4, not
@@ -243,18 +267,25 @@ def _stack(
     weights: NDArray[np.float64],
     qmat: NDArray[np.float64],
     config: McfConfig,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], float]:
+) -> tuple[NDArray[np.float64] | None, NDArray[np.float64], NDArray[np.float64], float]:
     """The fixed parts of the stacked problem: ``W²``, ``A``, the ridge row, the constant.
 
     ``A = [W²∘X | βQ]`` is the target of ``F = [U | V]``, the ridge row holds
     ``ridge_model`` for every column of U and ``ridge_concept`` for every
-    column of V, and the constant is ``Σ(W²∘X∘X) + β‖Q‖²``.
+    column of V, and the constant is ``Σ(W²∘X∘X) + β‖Q‖²``.  When every
+    weight is 1, ``W²`` is None, which selects the Gram form, and ``A`` holds
+    X itself: the numbers ``1∘X`` would give.
     """
     n = scores.shape[1]
-    w2 = weights * weights
+    # (weights == 1).all() rather than min() == 1: objective() takes any weights.
+    w2 = None if (weights == 1).all() else weights * weights
     # A is filled in place, so that W²∘X and βQ are never arrays of their own.
     a = np.empty((scores.shape[0], n + qmat.shape[1]))
-    w2x = np.multiply(w2, scores, out=a[:, :n])
+    w2x = a[:, :n]
+    if w2 is None:
+        np.copyto(w2x, scores)
+    else:
+        np.multiply(w2, scores, out=w2x)
     np.multiply(config.q_weight, qmat, out=a[:, n:])
     ridge = np.repeat(
         (config.ridge_model, config.ridge_concept), (scores.shape[1], qmat.shape[1])
@@ -263,26 +294,53 @@ def _stack(
     return w2, a, ridge, const
 
 
+def _gram(
+    u: NDArray[np.float64],
+    v: NDArray[np.float64],
+    beta: float,
+    ridge_eye: NDArray[np.float64],
+    unweighted: bool,
+) -> NDArray[np.float64]:
+    """``βVVᵀ + λ_E I``, plus ``UUᵀ`` in the Gram form."""
+    gram = beta * (v @ v.T) + ridge_eye
+    if unweighted:
+        gram += u @ u.T
+    return gram
+
+
+def _score_fit(
+    e: NDArray[np.float64], u: NDArray[np.float64], w2: NDArray[np.float64] | None
+) -> tuple[NDArray[np.float64] | None, float]:
+    """``W²∘EU`` and ``⟨W²∘EU, EU⟩``; ``(None, 0.0)`` in the Gram form, whose
+    ``gram`` carries ``UUᵀ`` in their place."""
+    if w2 is None:
+        return None, 0.0
+    eu = e @ u
+    w2eu = w2 * eu
+    return w2eu, float(np.vdot(w2eu, eu))
+
+
 def _loss(
     const: float,
     eta: NDArray[np.float64],
     f: NDArray[np.float64],
     ridge: NDArray[np.float64],
-    eu: NDArray[np.float64],
-    w2eu: NDArray[np.float64],
+    score_fit: float,
     ete: NDArray[np.float64],
     gram: NDArray[np.float64],
 ) -> float:
     """The objective from the products a multiplicative step already holds.
 
-    ``eta = EᵀA``, ``eu = E@U``, ``w2eu = W²∘EU``, ``ete = EᵀE`` and
+    ``eta = EᵀA``, ``score_fit = ⟨W²∘EU, EU⟩``, ``ete = EᵀE`` and
     ``gram = βVVᵀ + λ_E I``.  Expanding both squared residuals gives
     ``const − 2⟨EᵀA, F⟩ + ⟨W²∘EU, EU⟩ + ⟨EᵀE, βVVᵀ + λ_E I⟩ + ⟨F, ridge∘F⟩``.
+    In the Gram form ``score_fit`` is 0 and ``gram`` adds ``UUᵀ``, since
+    there ``⟨EU, EU⟩ = ⟨EᵀE, UUᵀ⟩``.
     """
     return float(
         const
         - 2.0 * np.vdot(eta, f)
-        + np.vdot(w2eu, eu)
+        + score_fit
         + np.vdot(ete, gram)
         + np.vdot(f, ridge * f)
     )
@@ -299,10 +357,10 @@ def objective(
     _check_problem(scores, weights, qmat)
     e, u, v = factors.item_skill, factors.skill_model, factors.skill_concept
     w2, a, ridge, const = _stack(scores, weights, qmat, config)
-    eu = e @ u
-    gram = config.q_weight * (v @ v.T) + config.ridge_item * np.eye(len(v))
+    gram = _gram(u, v, config.q_weight, config.ridge_item * np.eye(len(v)), w2 is None)
     f = np.concatenate((u, v), axis=1)
-    return _loss(const, e.T @ a, f, ridge, eu, w2 * eu, e.T @ e, gram)
+    _, score_fit = _score_fit(e, u, w2)
+    return _loss(const, e.T @ a, f, ridge, score_fit, e.T @ e, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +417,20 @@ def fit(
     u, v = f[:, :n_models], f[:, n_models:]
     ridge_eye = config.ridge_item * np.eye(len(v))
 
-    # At the top of every iteration w2eu = W²∘EU and gram = βVVᵀ + λ_E I.
-    eu = e @ u
-    w2eu = w2 * eu
-    gram = beta * (v @ v.T) + ridge_eye
-    trace = [_loss(const, e.T @ a, f, ridge, eu, w2eu, e.T @ e, gram)]
+    unweighted = w2 is None
+    # At the top of every iteration w2eu = W²∘EU and gram = βVVᵀ + λ_E I;
+    # in the Gram form w2eu is None and gram adds UUᵀ.
+    w2eu, score_fit = _score_fit(e, u, w2)
+    gram = _gram(u, v, beta, ridge_eye, unweighted)
+    trace = [_loss(const, e.T @ a, f, ridge, score_fit, e.T @ e, gram)]
     converged = False
     for it in range(config.max_iters):
-        e *= (a @ f.T) / (w2eu @ u.T + e @ gram + EPSILON)
+        den = e @ gram if unweighted else w2eu @ u.T + e @ gram
+        e *= (a @ f.T) / (den + EPSILON)
         eta = e.T @ a
         ete = e.T @ e
-        den = np.concatenate((e.T @ (w2 * (e @ u)), (beta * ete) @ v), axis=1)
+        den_u = ete @ u if unweighted else e.T @ (w2 * (e @ u))
+        den = np.concatenate((den_u, (beta * ete) @ v), axis=1)
         den += ridge * f
         den += EPSILON
         f *= eta / den
@@ -381,10 +442,9 @@ def fit(
                     raise NumericalError(f"non-finite {name} factor at iteration {it}")
                 if m.size and m.min() < 0:
                     raise NumericalError(f"negative {name} factor at iteration {it}")
-        eu = e @ u
-        w2eu = w2 * eu
-        gram = beta * (v @ v.T) + ridge_eye
-        val = _loss(const, eta, f, ridge, eu, w2eu, ete, gram)
+        w2eu, score_fit = _score_fit(e, u, w2)
+        gram = _gram(u, v, beta, ridge_eye, unweighted)
+        val = _loss(const, eta, f, ridge, score_fit, ete, gram)
         trace.append(val)
         if trace[-2] - val < config.tol * abs(trace[-2]):
             converged = True

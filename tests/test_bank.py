@@ -52,6 +52,14 @@ def test_empty_answer_key_rejected():
         Item("q", "", "   ", frozenset({"c"}))
 
 
+@pytest.mark.parametrize("key, other", [("Answer: B", "N"), ("B2", "2"), ("a or b", "O")])
+def test_answer_key_with_other_letters_rejected(key, other):
+    # "Answer: B" would otherwise read as the multi-select key AB.
+    message = f"item 'q': answer key {key!r} holds {other!r}, which is not a choice letter A-D"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        Item("q", "", key, frozenset({"c"}))
+
+
 def test_untagged_item_rejected():
     with pytest.raises(ValidationError, match="no concept tags"):
         Item("q", "", "A", frozenset())
@@ -176,6 +184,14 @@ def test_malformed_json_is_format_error(tmp_path):
 
 
 _text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# Text around a key's choice letter: punctuation, symbols and spaces that hold
+# no letter or digit, even uppercased.
+_key_text = st.text(
+    st.characters(categories=("P", "S", "Z")).filter(
+        lambda c: not any(x.isalnum() for x in c.upper())
+    ),
+    max_size=6,
+)
 
 
 @st.composite
@@ -187,8 +203,8 @@ def _banks(draw):
         Item(
             item_id,
             draw(_text),
-            # A key holds a choice letter A-D somewhere.
-            draw(_text) + draw(st.sampled_from("ABCDabcd")) + draw(_text),
+            # A key holds a choice letter A-D and no other letter or digit.
+            draw(_key_text) + draw(st.sampled_from("ABCDabcd")) + draw(_key_text),
             frozenset(draw(st.lists(st.sampled_from(concept_ids), min_size=1, max_size=3))),
         )
         for item_id in item_ids

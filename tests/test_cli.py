@@ -1099,6 +1099,9 @@ MALFORMED = [
           ("answer key without a choice letter",
            lambda p: p["items"][1].__setitem__("answer_key", "E"),
            "item 'q2': answer key 'E' holds no choice letter A-D"),
+          ("answer key written as text",
+           lambda p: p["items"][1].__setitem__("answer_key", "Answer: B"),
+           "item 'q2': answer key 'Answer: B' holds 'N', which is not a choice letter A-D"),
           ("unknown tag", lambda p: p["items"][0].__setitem__("concepts", ["c9", "c1"]),
            "item 'q1': unknown concept tag 'c9'"),
       )),

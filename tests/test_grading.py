@@ -78,6 +78,12 @@ def test_key_without_choice_letters_raises():
         grade("A", "42")
 
 
+def test_key_with_other_letters_raises():
+    # Read by its letters A-D alone, "Answer: B" would be the key AB.
+    with pytest.raises(ValueError, match="'Answer: B' holds 'N', which is not a choice letter"):
+        grade("B", "Answer: B")
+
+
 def test_default_rule_is_deterministic():
     outputs = ["maybe B?", "B!", "b", "  B  "]
     first = [grade(o, "B") for o in outputs]

@@ -27,7 +27,7 @@ from cdmkit import (
     save_mastery,
     simulate,
 )
-from cdmkit.solver import EPSILON, _init_factors
+from cdmkit.solver import EPSILON, _init_factors, _stack
 from oracles import objective_gradients
 
 
@@ -315,17 +315,69 @@ def test_default_stop_rule_settles_on_held_out_world():
     assert np.mean(rhos) >= 0.9
 
 
-def test_fit_objective_matches_direct_residuals_on_dense_problem():
-    # The Gram form of the tag term cancels ||Q||² against the cross term; on a
-    # dense, large Q that rounding is still far below the stop rule's tolerance.
+def _fit_dense_problem(all_ones_weights):
+    """Fit 400 items × 40 models × 150 concepts with half the tags set, and
+    return the fitted objective and the one from explicit residuals."""
     rng = np.random.default_rng(12)
     scores = rng.random((400, 40))
     weights = rng.random((400, 40))
+    if all_ones_weights:
+        weights = np.ones_like(scores)
     qmat = (rng.random((400, 150)) < 0.5).astype(float)
     cfg = McfConfig(n_skills=8, max_iters=60, seed=4)
     res = fit(scores, weights, qmat, cfg)
-    direct = _objective_direct(res.factors, scores, weights, qmat, cfg)
-    assert res.objective == pytest.approx(direct, rel=1e-12)
+    return res.objective, _objective_direct(res.factors, scores, weights, qmat, cfg)
+
+
+def test_fit_objective_matches_direct_residuals_on_dense_problem():
+    # The Gram form of the tag term cancels ||Q||² against the cross term; on a
+    # dense, large Q that rounding is still far below the stop rule's tolerance.
+    fitted, direct = _fit_dense_problem(all_ones_weights=False)
+    assert fitted == pytest.approx(direct, rel=1e-12)
+
+
+def test_unweighted_fit_objective_matches_direct_residuals_on_dense_problem():
+    # With every weight 1 the score term takes the Gram form too: ⟨EU, EU⟩ as
+    # ⟨EᵀE, UUᵀ⟩ costs rounding only.
+    fitted, direct = _fit_dense_problem(all_ones_weights=True)
+    assert fitted == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("all_ones_weights", [False, True])
+@pytest.mark.parametrize("q_weight", [1.0, 0.3])
+def test_objective_equals_the_last_trace_value(all_ones_weights, q_weight):
+    # objective() takes the same path as fit, weighted or Gram form, so it
+    # reproduces the trace's last value to the last bit.
+    rng = np.random.default_rng(21)
+    scores = rng.random((30, 9))
+    weights = np.ones_like(scores) if all_ones_weights else rng.random((30, 9))
+    qmat = (rng.random((30, 7)) < 0.4).astype(float)
+    cfg = McfConfig(n_skills=3, q_weight=q_weight, max_iters=200, seed=5)
+    res = fit(scores, weights, qmat, cfg)
+    assert objective(res.factors, scores, weights, qmat, cfg) == res.objective
+
+
+def test_gram_form_agrees_with_the_weighted_path():
+    # One weight nudged to the largest double below 1 forces the weighted
+    # path on otherwise all-ones weights; the two paths differ by rounding only.
+    rng = np.random.default_rng(22)
+    scores = rng.random((60, 15))
+    qmat = (rng.random((60, 20)) < 0.3).astype(float)
+    ones = np.ones_like(scores)
+    nudged = ones.copy()
+    nudged[7, 3] = 1 - 2.0**-53
+    cfg = McfConfig(n_skills=4, max_iters=500, seed=6)
+    assert _stack(scores, ones, qmat, cfg)[0] is None
+    assert _stack(scores, nudged, qmat, cfg)[0] is not None
+    gram_form, weighted = fit(scores, ones, qmat, cfg), fit(scores, nudged, qmat, cfg)
+    assert gram_form.iterations_run == weighted.iterations_run
+    np.testing.assert_allclose(
+        gram_form.objective_trace, weighted.objective_trace, rtol=1e-10, atol=0
+    )
+    for name in ("item_skill", "skill_model", "skill_concept"):
+        np.testing.assert_allclose(
+            getattr(gram_form.factors, name), getattr(weighted.factors, name), rtol=0, atol=1e-10
+        )
 
 
 def _fit_from_a_start_with(monkeypatch, factor, value):
