@@ -29,12 +29,11 @@ from .errors import (
     ValidationError,
 )
 from .grading import extract_choice, grade
-from .heatmap import cell_color, render_svg, save_heatmap_csv
+from .heatmap import cell_color, render_svg
 from .manifest import sha256_file, write_json, write_manifest
 from .metrics import (
     AgreementReport,
     ClusterResult,
-    ConceptCountReport,
     ConceptCountRow,
     ReconstructionReport,
     auc_mann_whitney,

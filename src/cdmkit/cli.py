@@ -37,7 +37,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .heatmap import render_svg, save_heatmap_csv
+from .heatmap import render_svg
 from .manifest import first_duplicate, naming, open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
@@ -53,6 +53,7 @@ from .responses import (
     load_matrix_csv,
     load_response_logs,
     load_response_matrix,
+    save_matrix_csv,
     save_response_matrix,
 )
 from .simulate import SimConfig, save_sim_output, simulate
@@ -305,9 +306,10 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
         raise ValidationError(f"{eff['mastery']}: no concepts to diagnose")
     # Everything that can fail runs before --out is touched, so a failed run
     # leaves no partial outputs.
-    report = concept_counts(mm, threshold=eff["threshold"])
-    table = render_concept_table(report)
-    svg = render_svg(mm)
+    counts = concept_counts(mm, threshold=eff["threshold"])
+    table = render_concept_table(counts)
+    with naming(eff["mastery"]):
+        svg = render_svg(mm)
     try:
         clusters = cluster_models(mm, n_clusters=eff["clusters"])
         clusters_doc = asdict(clusters)
@@ -319,10 +321,10 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     with open(out / "concept_counts.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model_id", "mastered_count", "total", "mean_score"])
-        for row in report.rows:
+        for row in counts:
             writer.writerow([row.model_id, row.mastered_count, row.total, repr(row.mean_score)])
     (out / "concept_counts.txt").write_text(table, encoding="utf-8")
-    save_heatmap_csv(mm, out / "heatmap.csv")
+    save_matrix_csv(mm.prob, mm.model_ids, mm.concept_ids, out / "heatmap.csv", corner="model_id")
     (out / "heatmap.svg").write_text(svg, encoding="utf-8")
     write_json(out / "clusters.json", clusters_doc)
     print(f"diagnosed {mm.n_models} models over {mm.n_concepts} concepts -> {out}")

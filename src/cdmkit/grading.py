@@ -49,18 +49,13 @@ def extract_choice(raw_output: str, multi: bool = False) -> str | None:
     return "".join(sorted(letters))
 
 
-def normalize_key(answer_key: str) -> str:
-    """The key's choice letters, uppercased, once each and sorted ("" when it
-    holds none): the form :func:`mark` compares an extracted answer with."""
-    return "".join(sorted(set(answer_key.upper()) & set("ABCD")))
-
-
 def checked_key(answer_key: str) -> str:
-    """:func:`normalize_key` of a key that names choices and nothing else, or
+    """The normal form of a key: its choice letters, uppercased, once each and
+    sorted, which :func:`mark` compares an extracted answer with; or
     ``ValueError``.  The key must hold a choice letter A–D and no other letter
     or digit, so "A, C" is the key AC, but "Answer: B" is refused: its
     letters N, S, W, E, R would otherwise be dropped silently, and its A kept."""
-    key = normalize_key(answer_key)
+    key = "".join(sorted(set(answer_key.upper()) & set("ABCD")))
     if not key:
         raise ValueError(f"answer key {answer_key!r} holds no choice letter A-D")
     other = next((c for c in answer_key.upper() if c.isalnum() and c not in "ABCD"), None)
@@ -72,12 +67,9 @@ def checked_key(answer_key: str) -> str:
 
 
 def mark(raw_output: str, key: str) -> int | None:
-    """1 or 0 for an output against a :func:`normalize_key` key, or None when
-    the attempt cannot be graded: the key holds no choice letter or nothing
-    can be extracted.  Pure, so a caller may reuse a result for equal inputs;
-    :func:`grade` turns None into 0 and a warning."""
-    if not key:
-        return None
+    """1 or 0 for an output against a :func:`checked_key` key, or None when
+    nothing can be extracted.  Pure, so a caller may reuse a result for equal
+    inputs; :func:`grade` turns None into 0 and a warning."""
     got = extract_choice(raw_output, multi=len(key) > 1)
     return None if got is None else int(got == key)
 

@@ -9,9 +9,12 @@ and shape.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+from .errors import ValidationError
 from .solver import MasteryMatrix
 
 # Linear ramp endpoints (light -> dark), as RGB channels.
@@ -21,6 +24,12 @@ _SPAN = np.array([8, 48, 107], dtype=np.float64) - _LOW
 _CELL = 18
 _LABEL_W = 90
 _LABEL_H = 70
+
+# Markup, and the whitespace a parser would normalize in an attribute, as references;
+# no reference can carry a character outside XML 1.0's Char production.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                          "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _ramp(values: ArrayLike) -> NDArray[np.float64]:
@@ -38,10 +47,10 @@ def cell_color(value: float) -> str:
 
 
 def _esc(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    bad = _NOT_XML.search(text)
+    if bad:
+        raise ValidationError(f"id {text!r} holds {bad.group()!r}, which XML 1.0 cannot carry")
+    return text.translate(_ESCAPES)
 
 
 def render_svg(mastery: MasteryMatrix) -> str:
@@ -86,9 +95,3 @@ def render_svg(mastery: MasteryMatrix) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def save_heatmap_csv(mastery: MasteryMatrix, path) -> None:
-    """The heatmap's values, ``mastery.prob``, as a labelled matrix CSV."""
-    from .responses import save_matrix_csv
-
-    save_matrix_csv(mastery.prob, mastery.model_ids, mastery.concept_ids, path, corner="model_id")

@@ -2,8 +2,8 @@
 
 The AUC is the rank-based Mann-Whitney form; gate 5 requires it to agree to
 1e-12 with a brute-force pairwise oracle kept in ``tests/oracles.py``.
-Reports hold results only: the distance or cluster count asked for is the
-caller's (the CLI records it in ``manifest.json``), and the binarizing
+Results hold no inputs: the distance, threshold or cluster count asked for
+is the caller's (the CLI records it in ``manifest.json``), and the binarizing
 threshold is the constant ``BINARIZE_THRESHOLD``.
 """
 
@@ -13,7 +13,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -114,13 +114,7 @@ class ConceptCountRow:
     mean_score: float
 
 
-@dataclass(frozen=True)
-class ConceptCountReport:
-    rows: tuple[ConceptCountRow, ...]
-    threshold: float
-
-
-def concept_counts(mastery: MasteryMatrix, threshold: float) -> ConceptCountReport:
+def concept_counts(mastery: MasteryMatrix, threshold: float) -> tuple[ConceptCountRow, ...]:
     """Per-model count of concepts with mastery strictly above the threshold.
 
     Rows are sorted best-first: by count descending, then mean mastery
@@ -140,15 +134,15 @@ def concept_counts(mastery: MasteryMatrix, threshold: float) -> ConceptCountRepo
             )
         )
     rows.sort(key=lambda r: (-r.mastered_count, -r.mean_score, r.model_id))
-    return ConceptCountReport(rows=tuple(rows), threshold=threshold)
+    return tuple(rows)
 
 
-def render_concept_table(report: ConceptCountReport) -> str:
+def render_concept_table(rows: Sequence[ConceptCountRow]) -> str:
     """Aligned plain-text ranking: mastered-count fraction, model, mean mastery."""
     header = ("con", "model", "acc")
     cells = [
         (f"{r.mastered_count}/{r.total}", r.model_id, f"{r.mean_score:.4f}")
-        for r in report.rows
+        for r in rows
     ]
     widths = [
         max(len(header[c]), *(len(row[c]) for row in cells)) if cells else len(header[c])
@@ -245,9 +239,8 @@ def krippendorff_alpha(
 
 @dataclass(frozen=True)
 class ClusterResult:
-    assignments: dict[str, int]          # model_id -> cluster label (excluded: -1)
+    assignments: dict[str, int]          # model_id -> cluster label (left out: -1)
     merges: tuple[tuple[int, int, float], ...]
-    excluded: tuple[str, ...]
 
 
 def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
@@ -257,8 +250,8 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     ``n_clusters`` clusters, the ones left after the tree's first
     ``n - n_clusters`` merges, labelled 0.. in order of each cluster's first
     row.  Deterministic; merges of equal height come in scipy's order.
-    All-zero rows have no direction and are excluded with a logged warning
-    (labelled -1); fewer than 2 rows left raises ``DegenerateDataError``.
+    All-zero rows have no direction and are left out: labelled -1 and named in
+    a logged warning.  Fewer than 2 rows left raises ``DegenerateDataError``.
     The merge list is the full dendrogram in scipy-style ids (the n
     clustered rows 0..n-1, then one new id per merge).
     """
@@ -268,10 +261,11 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     if n_clusters < 1:
         raise ValidationError("n_clusters must be >= 1")
     rows = mastery.prob
-    keep = [i for i in range(rows.shape[0]) if np.any(rows[i] != 0)]
-    excluded = tuple(mastery.model_ids[i] for i in range(rows.shape[0]) if i not in keep)
-    if excluded:
-        log.warning("excluding all-zero mastery rows: %s", excluded)
+    nonzero = rows.any(axis=1)
+    keep = np.flatnonzero(nonzero).tolist()
+    if len(keep) < len(nonzero):
+        left_out = tuple(compress(mastery.model_ids, ~nonzero))
+        log.warning("excluding all-zero mastery rows: %s", left_out)
     if len(keep) < 2:
         raise DegenerateDataError("need at least 2 non-zero mastery rows to cluster")
     if n_clusters > len(keep):
@@ -299,5 +293,4 @@ def cluster_models(mastery: MasteryMatrix, n_clusters: int) -> ClusterResult:
     return ClusterResult(
         assignments=assignments,
         merges=tuple((int(a), int(b), float(d)) for a, b, d, _ in tree),
-        excluded=excluded,
     )

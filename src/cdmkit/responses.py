@@ -20,7 +20,7 @@ from numpy.typing import NDArray
 
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
-from .grading import grade, mark, normalize_key
+from .grading import checked_key, grade, mark
 from .manifest import first_duplicate, naming, open_text
 
 DEFAULT_REPEATS = 10
@@ -231,7 +231,7 @@ def aggregate(
     by_key: dict[str, dict[str, int | None]] = {}
     rows = {}
     for i, item in enumerate(bank.items):
-        key = normalize_key(item.answer_key)
+        key = checked_key(item.answer_key)
         rows[item.item_id] = (i, item.answer_key, key, by_key.setdefault(key, {}))
     scores = np.zeros((len(bank), len(model_ids)), dtype=np.float64)
     weights = np.zeros_like(scores)

@@ -28,8 +28,11 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
+from .bank import write_bank_json
 from .errors import DegenerateDataError, ValidationError
+from .manifest import write_json
 from .metrics import average_ranks
+from .responses import save_matrix_csv
 from .solver import FactorSet, MasteryMatrix, _default_ids
 
 log = logging.getLogger(__name__)
@@ -70,6 +73,8 @@ class SimConfig:
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         for a, b in itertools.combinations(sizes, 2):
             if getattr(self, a) * getattr(self, b) > MAX_MATRIX_ELEMENTS:
                 raise ValidationError(
@@ -87,7 +92,6 @@ class SimOutput:
     qmat: NDArray[np.float64]
     p_response: NDArray[np.float64]
     p_mastery: NDArray[np.float64]
-    config: SimConfig
 
     def __post_init__(self) -> None:
         # Sigmoids of large non-negative products round to exactly 1.0 in
@@ -143,7 +147,6 @@ def simulate(config: SimConfig) -> SimOutput:
         qmat=qmat,
         p_response=p_response,
         p_mastery=p_mastery,
-        config=config,
     )
 
 
@@ -201,10 +204,6 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
     arrays are written from the arrays a row at a time, so neither is held
     as a whole list of Python objects.
     """
-    from .bank import write_bank_json
-    from .manifest import write_json
-    from .responses import save_matrix_csv
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     m, n = sim.scores.shape

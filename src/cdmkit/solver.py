@@ -146,8 +146,9 @@ class McfConfig:
         for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be finite and >= 0")
-        if self.max_iters < 0:
-            raise ValidationError("max_iters must be >= 0")
+        for name in ("max_iters", "seed"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0")
         if not 0 < self.tol < math.inf:
             raise ValidationError("tol must be finite and > 0")
 

@@ -302,8 +302,7 @@ def test_gate_08_concept_count_semantics():
         model_ids=("mid", "low", "edge"),
         concept_ids=tuple(f"c{i}" for i in range(k)),
     )
-    report = concept_counts(mm, threshold=0.9)
-    got = [(r.model_id, r.mastered_count) for r in report.rows]
+    got = [(r.model_id, r.mastered_count) for r in concept_counts(mm, threshold=0.9)]
     expected = [("mid", 40), ("low", 25), ("edge", 0)]
     boundary = concept_counts(
         MasteryMatrix(
@@ -314,9 +313,9 @@ def test_gate_08_concept_count_semantics():
         ),
         threshold=0.9,
     )
-    boundary_ok = all(r.mastered_count == 0 for r in boundary.rows)
+    boundary_ok = all(r.mastered_count == 0 for r in boundary)
     just_above = concept_counts(mm, threshold=0.94)
-    moved = [(r.model_id, r.mastered_count) for r in just_above.rows]
+    moved = [(r.model_id, r.mastered_count) for r in just_above]
     _gate(
         "gate 08 concept-count semantics",
         got == expected and boundary_ok and moved[0] == ("mid", 40),

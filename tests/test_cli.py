@@ -649,6 +649,9 @@ def test_diagnose_happy_path(fitted_world, monkeypatch):
     assert set(clusters["assignments"]) == {f"m{j}" for j in range(6)}
     svg = (out / "heatmap.svg").read_text()
     assert svg.count("<rect") == 6 * 4
+    # The heatmap's values are the fit's normalized mastery, written the same way.
+    prob_csv = fitted_world / "f" / "mastery_prob.csv"
+    assert (out / "heatmap.csv").read_bytes() == prob_csv.read_bytes()
 
 
 def test_diagnose_impossible_threshold_zeroes_counts(fitted_world, monkeypatch):
@@ -699,6 +702,16 @@ def test_diagnose_single_model_skips_clustering(tmp_path, monkeypatch, capsys):
     assert "skipped" in (tmp_path / "d1" / "warnings.log").read_text()
     clusters = json.loads((tmp_path / "d1" / "clusters.json").read_text())
     assert "skipped" in clusters
+
+
+def test_diagnose_all_zero_row_is_left_out_as_minus_one(tmp_path, monkeypatch):
+    _mastery_rows([[0.2, 0.9], [0, 0], [0.8, 0.1]])(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["diagnose", "--mastery", "mastery.json", "--out", "d"]) == 0
+    clusters = json.loads((tmp_path / "d" / "clusters.json").read_text())
+    assert set(clusters) == {"assignments", "merges"}
+    assert clusters["assignments"] == {"m0": 0, "m1": -1, "m2": 1}
+    assert "('m1',)" in (tmp_path / "d" / "warnings.log").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -1058,6 +1071,11 @@ MALFORMED = [
           ("cell of 400 digits", lambda p: p["raw"][1].__setitem__(0, 10**400),
            "malformed field 'raw' (int too large to convert to float)"),
       )),
+    # XML 1.0 cannot carry U+0001, even as a reference: the heatmap refuses the id.
+    ("mastery id XML cannot carry",
+     _edit_mastery(lambda p: p["model_ids"].__setitem__(1, "a\u0001b")), _diagnose,
+     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
+     "mastery.json: id 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
     ("mastery without concepts",
      _edit_mastery(lambda p: p.update(concept_ids=[], raw=[[]] * 3, prob=[[]] * 3)),
      _diagnose, ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
@@ -1142,6 +1160,18 @@ MALFORMED = [
      "items.csv: invalid JSON (Expecting value: line 1 column 1 (char 0))"),
     ("infinite tol flag", lambda root: None, lambda root: McfConfig(tol=math.inf),
      ValidationError, FIT_ARGV + ["--tol", "inf"], 2, "command line", "tol must be finite"),
+    # numpy's default_rng takes no negative seed: the configs refuse one first.
+    *((f"negative seed {case}", setup, call, ValidationError, argv, 2, "", "seed must be >= 0")
+      for case, setup, call, argv in (
+          ("simulate flag", lambda root: None, lambda root: SimConfig(3, 2, 4, 2, seed=-1),
+           ["simulate", "--seed", "-1", "--out", "s"]),
+          ("fit flag", lambda root: None, lambda root: McfConfig(seed=-1),
+           [*FIT_ARGV, "--seed", "-1"]),
+          ("sweep flag", lambda root: None, lambda root: McfConfig(seed=-1),
+           [*SWEEP_ARGV, "--seed", "-1"]),
+          ("config key", _write("fit.json", json.dumps({"seed": -3})),
+           lambda root: McfConfig(seed=-3), [*FIT_ARGV, "--config", "fit.json"]),
+      )),
     # Every config is built, and every result computed, before --out is created.
     ("simulate resample exhaustion", lambda root: None,
      lambda root: simulate(SimConfig(3, 2, 1, 1, seed=3)),

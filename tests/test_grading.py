@@ -3,7 +3,7 @@ import logging
 import pytest
 
 from cdmkit import extract_choice, grade
-from cdmkit.grading import mark, normalize_key
+from cdmkit.grading import checked_key, mark
 
 
 # CJK-flavoured outputs mirror the messy transcripts the extractor exists for.
@@ -61,10 +61,9 @@ def test_extraction_failure_logs_and_scores_zero(caplog):
 def test_mark_is_silent_and_none_when_ungradable(caplog):
     # aggregate reuses marks across attempts, so mark must log nothing.
     with caplog.at_level(logging.WARNING, logger="cdmkit"):
-        assert mark("∅", normalize_key("A")) is None
-        assert mark("A", normalize_key("42")) is None
-        assert mark("C,B", normalize_key("cb")) == 1
-        assert mark("B", normalize_key("A")) == 0
+        assert mark("∅", checked_key("A")) is None
+        assert mark("C,B", checked_key("cb")) == 1
+        assert mark("B", checked_key("A")) == 0
     assert caplog.records == []
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from cdmkit import (
     ValidationError,
     cell_color,
     render_svg,
-    save_heatmap_csv,
 )
-from cdmkit.responses import load_matrix_csv
 
 
 def _mastery(prob, raw=None, model_ids=None, concept_ids=None):
@@ -97,15 +96,26 @@ def test_svg_draws_prob_not_raw():
     assert "<!-- scale: linear over [0.0, 1.0] -->" in svg
 
 
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(2)
-    values = rng.random((3, 2))
-    path = tmp_path / "heatmap.csv"
-    save_heatmap_csv(_mastery(values, raw=values + 2.0), path)
-    mat, rows, cols = load_matrix_csv(path)
-    assert rows == ("m0", "m1", "m2")
-    assert cols == ("c0", "c1")
-    assert np.array_equal(mat, values)
+def test_svg_parses_and_reads_ids_back():
+    # A parser normalizes a raw tab, newline or CR in an attribute value to a
+    # space, and a CR in text to a newline: those three are written as references.
+    model_ids = ('m&<>"\'', "tab\there", "two\nlines")
+    concept_ids = ("cr\rlf\r\n", "\U0001f600 non-BMP")
+    svg = render_svg(_mastery([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]],
+                              model_ids=model_ids, concept_ids=concept_ids))
+    doc = minidom.parseString(svg.encode("utf-8"))
+    rects = doc.getElementsByTagName("rect")
+    assert [(r.getAttribute("data-model"), r.getAttribute("data-concept")) for r in rects] == [
+        (mid, cid) for mid in model_ids for cid in concept_ids
+    ]
+    labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert labels == [*concept_ids, *model_ids]
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
+def test_svg_refuses_id_xml_cannot_carry(char):
+    with pytest.raises(ValidationError, match=re.escape(f"id {'a' + char + 'b'!r} holds")):
+        render_svg(_mastery([[0.5]], model_ids=("a" + char + "b",)))
 
 
 # ---------------------------------------------------------------------------

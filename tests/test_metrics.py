@@ -169,13 +169,13 @@ def test_shape_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_saturated_counts():
-    rep = concept_counts(_mm(np.ones((2, 70))), threshold=0.9)
-    assert all(r.mastered_count == 70 and r.total == 70 for r in rep.rows)
+    rows = concept_counts(_mm(np.ones((2, 70))), threshold=0.9)
+    assert all(r.mastered_count == 70 and r.total == 70 for r in rows)
 
 
 def test_boundary_is_strict():
-    rep = concept_counts(_mm(np.full((3, 5), 0.9)), threshold=0.9)
-    assert all(r.mastered_count == 0 for r in rep.rows)
+    rows = concept_counts(_mm(np.full((3, 5), 0.9)), threshold=0.9)
+    assert all(r.mastered_count == 0 for r in rows)
 
 
 def test_sorted_descending_with_ties():
@@ -186,16 +186,16 @@ def test_sorted_descending_with_ties():
             [0.95, 0.5, 0.5],   # 1 mastered, higher mean
         ]
     )
-    rep = concept_counts(_mm(prob, model_ids=("alpha", "beta", "gamma")), threshold=0.9)
-    assert [r.model_id for r in rep.rows] == ["beta", "gamma", "alpha"]
+    rows = concept_counts(_mm(prob, model_ids=("alpha", "beta", "gamma")), threshold=0.9)
+    assert [r.model_id for r in rows] == ["beta", "gamma", "alpha"]
 
 
 def test_counts_monotone_in_threshold():
     rng = np.random.default_rng(4)
     mm = _mm(rng.random((6, 12)))
-    prev = {r.model_id: r.mastered_count for r in concept_counts(mm, 0.3).rows}
+    prev = {r.model_id: r.mastered_count for r in concept_counts(mm, 0.3)}
     for thr in (0.5, 0.7, 0.9):
-        cur = {r.model_id: r.mastered_count for r in concept_counts(mm, thr).rows}
+        cur = {r.model_id: r.mastered_count for r in concept_counts(mm, thr)}
         assert all(cur[m] <= prev[m] for m in cur)
         prev = cur
 
@@ -352,7 +352,6 @@ def test_all_zero_rows_excluded_with_warning(caplog):
     prob = np.array([[0.0, 0.0], [0.5, 0.1], [0.2, 0.9]])
     res = cluster_models(_mm(prob), n_clusters=2)
     assert caplog.messages == ["excluding all-zero mastery rows: ('m0',)"]
-    assert res.excluded == ("m0",)
     assert res.assignments["m0"] == -1
     assert {res.assignments["m1"], res.assignments["m2"]} == {0, 1}
 
