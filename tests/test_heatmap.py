@@ -14,6 +14,7 @@ from cdmkit import (
     cell_color,
     render_svg,
 )
+from cdmkit.responses import load_matrix_csv, save_matrix_csv
 
 
 def _mastery(prob, raw=None, model_ids=None, concept_ids=None):
@@ -94,6 +95,19 @@ def test_svg_draws_prob_not_raw():
     assert re.findall(r'data-value="([^"]+)"', svg) == ["0.2", "0.9"]
     assert re.findall(r'fill="([^"]+)"', svg) == [cell_color(0.2), cell_color(0.9)]
     assert "<!-- scale: linear over [0.0, 1.0] -->" in svg
+
+
+def test_csv_round_trip(tmp_path):
+    # heatmap.csv is the prob matrix as diagnose writes it; it reads back exactly.
+    rng = np.random.default_rng(2)
+    values = rng.random((3, 2))
+    mm = _mastery(values, raw=values + 2.0)
+    path = tmp_path / "heatmap.csv"
+    save_matrix_csv(mm.prob, mm.model_ids, mm.concept_ids, path, corner="model_id")
+    mat, rows, cols = load_matrix_csv(path)
+    assert rows == ("m0", "m1", "m2")
+    assert cols == ("c0", "c1")
+    assert np.array_equal(mat, values)
 
 
 def test_svg_parses_and_reads_ids_back():
