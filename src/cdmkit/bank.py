@@ -16,7 +16,7 @@ from numpy.typing import NDArray
 
 from .errors import FormatError, ValidationError
 from .grading import checked_key
-from .manifest import check_format_version, first_duplicate, naming, read_json, write_json
+from .manifest import check_format_version, checked_ids, naming, read_json, write_json
 
 BANK_FORMAT_VERSION = 1
 
@@ -34,11 +34,7 @@ class ConceptCatalog:
     concepts: tuple[Concept, ...]
 
     def __post_init__(self) -> None:
-        if "" in self.ids:
-            raise ValidationError("concept with empty id")
-        dup = first_duplicate(self.ids)
-        if dup is not None:
-            raise ValidationError(f"duplicate concept id {dup!r}")
+        checked_ids(self.ids, "concept")
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -58,8 +54,6 @@ class Item:
     concept_tags: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not self.item_id:
-            raise ValidationError("item with empty id")
         if not self.answer_key.strip():
             raise ValidationError(f"item {self.item_id!r}: empty answer key")
         try:
@@ -81,9 +75,7 @@ class ItemBank:
     def __post_init__(self) -> None:
         if not self.items:
             raise ValidationError("no items")
-        dup = first_duplicate(self.item_ids)
-        if dup is not None:
-            raise ValidationError(f"duplicate item id {dup!r}")
+        checked_ids(self.item_ids, "item")
         known = set(self.catalog.ids)
         if not set().union(*(item.concept_tags for item in self.items)) <= known:
             item = next(item for item in self.items if not item.concept_tags <= known)

@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import render_svg
-from .manifest import first_duplicate, naming, open_text, read_json, write_json, write_manifest
+from .manifest import checked_ids, naming, open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -246,6 +246,8 @@ def _load_fit_inputs(eff: dict, command: str):
         )
     if not concept_ids:
         raise FormatError(f"{eff['qmatrix']}: no concept columns")
+    with naming(eff["qmatrix"]):
+        checked_ids(concept_ids, "concept")
     bad = np.argwhere((qmat != 0) & (qmat != 1))
     if bad.size:
         i, k = bad[0]
@@ -253,12 +255,11 @@ def _load_fit_inputs(eff: dict, command: str):
             f"{eff['qmatrix']}: row {q_item_ids[i]!r}, column {concept_ids[k]!r} holds "
             f"{float(qmat[i, k])!r}; Q-matrix cells must be 0 or 1"
         )
-    untagged = [c for c, tagged in zip(concept_ids, qmat.any(axis=0)) if not tagged]
-    if untagged:
-        log.warning(
-            "%d concept(s) tagged by no item, so no score bears on their mastery: %s",
-            len(untagged), untagged,
-        )
+    for what, ids, cells in (("concept(s) tagged by no item", concept_ids, qmat),
+                             ("model(s) observed in no cell", matrix.model_ids, matrix.weights)):
+        missing = [i for i, seen in zip(ids, cells.any(axis=0)) if not seen]
+        if missing:
+            log.warning("%d %s, so no score bears on their mastery: %s", len(missing), what, missing)
     inputs = [eff["scores"], eff["qmatrix"]] + ([eff["weights"]] if eff["weights"] else [])
     return matrix, qmat, concept_ids, inputs
 
@@ -308,8 +309,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     # leaves no partial outputs.
     counts = concept_counts(mm, threshold=eff["threshold"])
     table = render_concept_table(counts)
-    with naming(eff["mastery"]):
-        svg = render_svg(mm)
+    svg = render_svg(mm)
     try:
         clusters = cluster_models(mm, n_clusters=eff["clusters"])
         clusters_doc = asdict(clusters)
@@ -355,9 +355,10 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
             rows.append(row)
     if len(rows) < 2:
         raise FormatError(f"{path}: need a header row and at least one unit")
-    dup = first_duplicate(row[0] for row in rows[1:] if row)
-    if dup is not None:
-        raise FormatError(f"{path}: duplicate unit id {dup!r}")
+    try:
+        checked_ids((row[0] for row in rows[1:] if row), "unit")
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     table: list[list[object]] = []
     for row in rows[1:]:
         unit: list[object] = []

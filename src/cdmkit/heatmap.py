@@ -3,18 +3,15 @@
 SVG rather than raster so the output is diffable and testable: every cell
 rect carries its numeric value in a ``data-value`` attribute, and the fill
 color is a pure function of that value on the fixed [0, 1] scale of
-``MasteryMatrix.prob``, which the matrix itself checks along with its ids
-and shape.
+``MasteryMatrix.prob``.  The matrix checks that scale, its shape and its
+ids, which hold no character XML 1.0 cannot carry, so every matrix renders.
 """
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import ValidationError
 from .solver import MasteryMatrix
 
 # Linear ramp endpoints (light -> dark), as RGB channels.
@@ -25,11 +22,9 @@ _CELL = 18
 _LABEL_W = 90
 _LABEL_H = 70
 
-# Markup, and the whitespace a parser would normalize in an attribute, as references;
-# no reference can carry a character outside XML 1.0's Char production.
+# Markup, and the whitespace a parser would normalize in an attribute, as references.
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
                           "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _ramp(values: ArrayLike) -> NDArray[np.float64]:
@@ -46,13 +41,6 @@ def cell_color(value: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def _esc(text: str) -> str:
-    bad = _NOT_XML.search(text)
-    if bad:
-        raise ValidationError(f"id {text!r} holds {bad.group()!r}, which XML 1.0 cannot carry")
-    return text.translate(_ESCAPES)
-
-
 def render_svg(mastery: MasteryMatrix) -> str:
     """Deterministic standalone SVG of ``mastery.prob``: models as rows,
     concepts as columns, colored on the fixed [0, 1] scale.
@@ -66,7 +54,8 @@ def render_svg(mastery: MasteryMatrix) -> str:
     colors, inverse = np.unique(codes.ravel(), return_inverse=True)
     palette = np.array([f"#{c:06x}" for c in colors.tolist()], dtype=object)
     fills = palette[inverse].reshape(codes.shape).tolist()
-    concepts = [_esc(cid) for cid in mastery.concept_ids]
+    concepts = [cid.translate(_ESCAPES) for cid in mastery.concept_ids]
+    models = [mid.translate(_ESCAPES) for mid in mastery.model_ids]
     xs = [_LABEL_W + k * _CELL for k in range(n_cols)]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -79,9 +68,7 @@ def render_svg(mastery: MasteryMatrix) -> str:
             f'<text x="{x}" y="{_LABEL_H - 6}" font-size="8" text-anchor="start" '
             f'transform="rotate(-60 {x} {_LABEL_H - 6})">{cid}</text>'
         )
-    for j, (mid, row_fills, row_values) in enumerate(
-        zip(map(_esc, mastery.model_ids), fills, mastery.prob.tolist())
-    ):
+    for j, (mid, row_fills, row_values) in enumerate(zip(models, fills, mastery.prob.tolist())):
         y = _LABEL_H + j * _CELL
         parts.append(
             f'<text x="{_LABEL_W - 4}" y="{y + _CELL - 5}" font-size="9" '

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from itertools import chain
@@ -32,6 +33,9 @@ from .errors import FormatError, ValidationError
 MANIFEST_NAME = "manifest.json"
 _CONTAINERS = (dict, list, tuple, np.ndarray, GeneratorType)
 _EMPTY = object()  # what next() gives for a generator that yields nothing
+# What XML 1.0 cannot carry (§2.2 Char), even as a reference: C0 controls
+# other than tab, LF and CR; surrogates; U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def write_json(path: str | Path, payload: object) -> None:
@@ -175,6 +179,25 @@ def first_duplicate(ids: Iterable[str]) -> str | None:
             return i
         seen.add(i)
     return None
+
+
+def checked_ids(ids: Iterable[str], kind: str) -> tuple[str, ...]:
+    """``ids`` as a tuple, or a ``ValidationError`` naming the first ``kind``
+    id that is empty, repeats an earlier one, or holds a character XML 1.0
+    cannot carry, so that no writer, the SVG heatmap included, fails on an
+    id.  Other text, edge whitespace too, is an id as written.  Each rule is
+    one pass over all the ids; the offender is sought only when one fails."""
+    ids = tuple(ids)
+    if "" in ids:
+        raise ValidationError(f"{kind} with empty id")
+    if len(set(ids)) != len(ids):
+        raise ValidationError(f"duplicate {kind} id {first_duplicate(ids)!r}")
+    if _NOT_XML.search("".join(ids)):
+        bad = next(filter(None, map(_NOT_XML.search, ids)))
+        raise ValidationError(
+            f"{kind} id {bad.string!r} holds {bad.group()!r}, which XML 1.0 cannot carry"
+        )
+    return ids
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
 from .grading import checked_key, grade, mark
-from .manifest import first_duplicate, naming, open_text
+from .manifest import checked_ids, first_duplicate, naming, open_text
 
 DEFAULT_REPEATS = 10
 
@@ -45,8 +45,7 @@ class ResponseLog:
     source: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.model_id:
-            raise ValidationError("response log with empty model id")
+        checked_ids((self.model_id,), "model")
 
 
 # The fields of one JSONL attempt record and the JSON type each must hold.
@@ -63,8 +62,9 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
     ``item`` and ``output`` and an integer ``attempt`` (not a boolean);
     whitespace around it is ignored.  A line that is not such an object is a
     ``FormatError`` ``<file>:<line>: ...``, json's ``ValueError`` and
-    ``RecursionError`` included.  Attempt indices and repeats are left to
-    :func:`aggregate`.
+    ``RecursionError`` included; a model id ``checked_ids`` refuses is a
+    ``ValidationError`` naming the line where it first appears.  Item ids are
+    left to the bank, and attempt indices and repeats to :func:`aggregate`.
 
     Each stripped line is decoded with one ``JSONDecoder.raw_decode`` call,
     which skips the Python layers of ``json.loads`` (a BOM check and two
@@ -120,13 +120,12 @@ def load_response_logs(path: str | Path) -> list[ResponseLog]:
                 attempts[attempt] = attempt
             entries = by_model.get(model)
             if entries is None:
+                with naming(f"{path}:{lineno}"):
+                    checked_ids((model,), "model")
                 entries = by_model[model] = []
             entries.append(attempt)
-    with naming(path):
-        return [
-            ResponseLog(model, tuple(entries), source=str(path))
-            for model, entries in by_model.items()
-        ]
+    return [ResponseLog(model, tuple(entries), source=str(path))
+            for model, entries in by_model.items()]
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,8 @@ class ResponseMatrix:
     model_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        checked_ids(self.item_ids, "item")
+        checked_ids(self.model_ids, "model")
         s, w = np.asarray(self.scores), np.asarray(self.weights)
         if s.shape != w.shape:
             raise DimensionError(f"scores {s.shape} vs weights {w.shape}")

@@ -114,7 +114,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
-from .manifest import check_format_version, first_duplicate, naming, read_json, write_json
+from .manifest import check_format_version, checked_ids, naming, read_json, write_json
 from .responses import load_matrix_csv, save_matrix_csv
 
 log = logging.getLogger(__name__)
@@ -225,6 +225,8 @@ class MasteryMatrix:
     concept_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        checked_ids(self.model_ids, "model")
+        checked_ids(self.concept_ids, "concept")
         if self.raw.shape != self.prob.shape:
             raise DimensionError("raw/prob shape mismatch")
         if self.raw.shape != (len(self.model_ids), len(self.concept_ids)):
@@ -613,10 +615,10 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     or is not the integer 1, raises ``FormatError``; a missing or malformed
     field, or a bundle ``MasteryMatrix`` rejects (for example a non-finite
     entry or a ``prob`` outside [0, 1]), raises ``ValidationError``.  Both
-    name the file.  The id fields are lists of distinct strings, and every
-    cell of ``raw`` and ``prob`` is a JSON number (not ``true``, not
-    ``"0.5"``).  Other keys are ignored, such as the ``normalization`` tag
-    of older bundles: their ``prob`` is used as written.
+    name the file.  The id fields are lists of strings that ``checked_ids``
+    takes, and every cell of ``raw`` and ``prob`` is a JSON number (not
+    ``true``, not ``"0.5"``).  Other keys are ignored, such as the
+    ``normalization`` tag of older bundles: their ``prob`` is used as written.
     """
     payload = read_json(path)
     check_format_version(payload, path, MASTERY_FORMAT_VERSION)
@@ -624,9 +626,6 @@ def load_mastery(path: str | Path) -> MasteryMatrix:
     def ids(values) -> tuple[str, ...]:
         if not isinstance(values, list) or not set(map(type, values)) <= {str}:
             raise TypeError("not a list of strings")
-        dup = first_duplicate(values)
-        if dup is not None:
-            raise ValueError(f"repeats id {dup!r}")
         return tuple(values)
 
     def matrix(rows) -> NDArray[np.float64]:

@@ -2,8 +2,10 @@
 
 No cdmkit command runs these.  ``objective_gradients`` (gate 4) and
 ``auc_pairwise`` (gate 5) compute by a second route what the package computes
-by its fast one; ``save_item_bank`` and ``save_response_log`` write the input
-files the loaders read, so tests can build them from objects.
+by its fast one; ``xml_char`` reads XML 1.0's ``Char`` production code point
+by code point, where ``checked_ids`` uses one character class;
+``save_item_bank`` and ``save_response_log`` write the input files the
+loaders read, so tests can build them from objects.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ def auc_pairwise(scores: NDArray[np.float64], labels: NDArray[np.int_]) -> float
             elif p == q:
                 total += 0.5
     return total / (pos_scores.size * neg_scores.size)
+
+
+def xml_char(char: str) -> bool:
+    """Whether XML 1.0 can carry ``char`` (W3C XML 1.0 §2.2, ``Char``): tab,
+    LF, CR, U+0020-U+D7FF, U+E000-U+FFFD and U+10000-U+10FFFF."""
+    point = ord(char)
+    return (point in (0x9, 0xA, 0xD) or 0x20 <= point <= 0xD7FF
+            or 0xE000 <= point <= 0xFFFD or 0x10000 <= point <= 0x10FFFF)
 
 
 def save_item_bank(bank: ItemBank, path: str | Path) -> None:

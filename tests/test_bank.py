@@ -16,7 +16,7 @@ from cdmkit import (
     load_item_bank,
     qmatrix,
 )
-from oracles import save_item_bank
+from oracles import save_item_bank, xml_char
 
 
 def test_qmatrix_rows_follow_tags(tiny_bank):
@@ -184,6 +184,8 @@ def test_malformed_json_is_format_error(tmp_path):
 
 
 _text = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# Ids: non-empty text that XML 1.0 can carry (the rule checked_ids applies).
+_ids = st.text(st.characters(exclude_categories=("Cs",)).filter(xml_char), min_size=1, max_size=6)
 # Text around a key's choice letter: punctuation, symbols and spaces that hold
 # no letter or digit, even uppercased.
 _key_text = st.text(
@@ -196,9 +198,9 @@ _key_text = st.text(
 
 @st.composite
 def _banks(draw):
-    concept_ids = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
+    concept_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
     catalog = ConceptCatalog(tuple(Concept(c, draw(_text)) for c in concept_ids))
-    item_ids = draw(st.lists(_text.filter(bool), min_size=1, max_size=5, unique=True))
+    item_ids = draw(st.lists(_ids, min_size=1, max_size=5, unique=True))
     items = tuple(
         Item(
             item_id,

@@ -507,6 +507,22 @@ def test_fit_rerun_byte_identical(tmp_path, monkeypatch):
         ), name
 
 
+def test_fit_with_a_weights_file_of_ones_writes_the_bytes_of_fit_without_one(tmp_path, monkeypatch):
+    # simulate's weights are all ones, as fit assumes without --weights: both
+    # runs take the unweighted (Gram-form) path and write the same bytes.
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--items", "40", "--models", "8", "--concepts", "10",
+                 "--skills", "3", "--seed", "1", "--out", "sim"]) == 0
+    fit = ["fit", "--scores", "sim/scores.csv", "--qmatrix", "sim/qmatrix.csv",
+           "--skills", "3", "--starts", "2"]
+    assert main([*fit, "--weights", "sim/weights.csv", "--out", "weighted"]) == 0
+    assert main([*fit, "--out", "unweighted"]) == 0
+    for name in ("mastery.json", "trace.csv"):
+        assert (tmp_path / "weighted" / name).read_bytes() == (
+            tmp_path / "unweighted" / name
+        ).read_bytes(), name
+
+
 def test_fit_zero_iterations_emits_initial_objective_only(tmp_path, monkeypatch):
     _write_fit_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
@@ -550,6 +566,25 @@ def test_sweep_warns_once_about_untagged_concepts(tmp_path, monkeypatch):
         "--starts", "1", "--max-iters", "30", "--out", "sw",
     ]) == 0
     assert (tmp_path / "sw" / "warnings.log").read_text().splitlines() == UNTAGGED_C3
+
+
+def test_fit_warns_once_about_unobserved_models(tmp_path, monkeypatch):
+    # A zero weights column: no cell observes m2, so its mastery is 0 on every
+    # concept for want of data, and warnings.log says so.
+    _write_fit_inputs(tmp_path)
+    scores, items, models = load_matrix_csv(tmp_path / "scores.csv")
+    weights = np.ones_like(scores)
+    scores[:, 2] = weights[:, 2] = 0.0
+    save_matrix_csv(scores, items, models, tmp_path / "scores.csv", corner="item_id")
+    save_matrix_csv(weights, items, models, tmp_path / "weights.csv", corner="item_id")
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "fit", "--scores", "scores.csv", "--weights", "weights.csv", "--qmatrix", "qmatrix.csv",
+        "--skills", "2", "--starts", "1", "--max-iters", "30", "--out", "f",
+    ]) == 0
+    assert (tmp_path / "f" / "warnings.log").read_text().splitlines() == [
+        "1 model(s) observed in no cell, so no score bears on their mastery: ['m2']"
+    ]
 
 
 def test_fit_default_mastery_passes_gate_2(tmp_path, monkeypatch):
@@ -858,6 +893,8 @@ GRADE_ARGV = ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--out", "g
 GRADE_CSV_ARGV = ["grade", "--bank", "items.csv", "--logs", "log.jsonl", "--out", "g"]
 GRADE_TWO_ARGV = ["grade", "--bank", "bank.json", "--logs", "*.jsonl", "--out", "g"]
 LOG_RECORD = '{"model": "gpt", "item": "q1", "attempt": 0, "output": "A"}'
+SURROGATE_RECORD = LOG_RECORD.replace('"gpt"', '"a\\ud800"')
+SURROGATE_MESSAGE = "log.jsonl:1: model id 'a\\ud800' holds '\\ud800', which XML 1.0 cannot carry"
 
 
 def _edit_lines(edit, *names):
@@ -1036,6 +1073,24 @@ MALFORMED = [
      _load_scores, FormatError, FIT_ARGV, 2, "scores.csv", "duplicate row id 'q0'"),
     ("duplicate column id", _edit_lines(_set_cell(0, 4, "m0"), "scores.csv", "weights.csv"),
      _load_scores, FormatError, FIT_ARGV, 2, "scores.csv", "duplicate column id 'm0'"),
+    # Ids follow one rule (manifest.checked_ids): none empty, none repeated,
+    # none holding a character XML 1.0 cannot carry.  Each reader applies it.
+    ("scores row id",
+     _edit_lines(_set_cell(2, 0, "q1\ufffe"), "scores.csv", "weights.csv", "qmatrix.csv"),
+     lambda root: load_response_matrix(root / "scores.csv", root / "weights.csv"),
+     ValidationError, FIT_ARGV, 2, "scores.csv",
+     "weights.csv: item id 'q1\\ufffe' holds '\\ufffe', which XML 1.0 cannot carry"),
+    ("scores empty model id", _edit_lines(_set_cell(0, 2, ""), "scores.csv"),
+     lambda root: load_response_matrix(root / "scores.csv"), ValidationError,
+     [arg for arg in FIT_ARGV if arg not in ("--weights", "weights.csv")], 2, "scores.csv",
+     "scores.csv: model with empty id"),
+    ("weights column id", _edit_lines(_set_cell(0, 3, "m2\x01"), "scores.csv", "weights.csv"),
+     lambda root: load_response_matrix(root / "scores.csv", root / "weights.csv"),
+     ValidationError, FIT_ARGV, 2, "weights.csv",
+     "weights.csv: model id 'm2\\x01' holds '\\x01', which XML 1.0 cannot carry"),
+    ("qmatrix concept id", _edit_lines(_set_cell(0, 2, "c1\uffff"), "qmatrix.csv"),
+     _load_fit_files("sweep"), ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
+     "qmatrix.csv: concept id 'c1\\uffff' holds '\\uffff', which XML 1.0 cannot carry"),
     ("empty file", _write("scores.csv", ""), _load_scores,
      FormatError, FIT_ARGV, 2, "scores.csv", "empty matrix file"),
     ("header-only scores", _edit_lines(lambda ls: ls[:1], "scores.csv", "weights.csv"),
@@ -1063,7 +1118,9 @@ MALFORMED = [
           ("integer concept_ids", lambda p: p.__setitem__("concept_ids", [0, 1, 2, 3]),
            "malformed field 'concept_ids' (not a list of strings)"),
           ("repeated model id", lambda p: p["model_ids"].__setitem__(2, "m0"),
-           "malformed field 'model_ids' (repeats id 'm0')"),
+           "duplicate model id 'm0'"),
+          ("empty concept id", lambda p: p["concept_ids"].__setitem__(0, ""),
+           "concept with empty id"),
           ("true cell", lambda p: p["raw"][0].__setitem__(1, True),
            "malformed field 'raw' (cells must be JSON numbers)"),
           ("numeric string cell", lambda p: p["prob"][2].__setitem__(0, "0.5"),
@@ -1071,11 +1128,11 @@ MALFORMED = [
           ("cell of 400 digits", lambda p: p["raw"][1].__setitem__(0, 10**400),
            "malformed field 'raw' (int too large to convert to float)"),
       )),
-    # XML 1.0 cannot carry U+0001, even as a reference: the heatmap refuses the id.
+    # XML 1.0 cannot carry U+0001, even as a reference: the loader refuses the id.
     ("mastery id XML cannot carry",
-     _edit_mastery(lambda p: p["model_ids"].__setitem__(1, "a\u0001b")), _diagnose,
-     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
-     "mastery.json: id 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
+     _edit_mastery(lambda p: p["model_ids"].__setitem__(1, "a\u0001b")),
+     lambda root: load_mastery(root / "mastery.json"), ValidationError, DIAGNOSE_ARGV, 2,
+     "mastery.json", "mastery.json: model id 'a\\x01b' holds '\\x01', which XML 1.0 cannot carry"),
     ("mastery without concepts",
      _edit_mastery(lambda p: p.update(concept_ids=[], raw=[[]] * 3, prob=[[]] * 3)),
      _diagnose, ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
@@ -1110,6 +1167,9 @@ MALFORMED = [
            "duplicate concept id 'c1'"),
           ("duplicate item id", lambda p: p["items"][1].__setitem__("id", "q1"),
            "duplicate item id 'q1'"),
+          ("concept id XML cannot carry", lambda p: p["concepts"][0].__setitem__("id", "c1\x0b"),
+           "concept id 'c1\\x0b' holds '\\x0b', which XML 1.0 cannot carry"),
+          ("empty item id", lambda p: p["items"][1].__setitem__("id", ""), "item with empty id"),
           ("item without concepts", lambda p: p["items"][0].__setitem__("concepts", []),
            "item 'q1': no concept tags"),
           ("empty answer key", lambda p: p["items"][1].__setitem__("answer_key", " "),
@@ -1145,6 +1205,10 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv: duplicate unit id 'u0'"),
+    ("annotation unit id", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu\x07,a,b\nu1,b,b\n"),
+     lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
+     FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
+     "ann.csv", "ann.csv: unit id 'u\\x07' holds '\\x07', which XML 1.0 cannot carry"),
     # Too few codings for alpha: agreement names the file.
     *((f"annotations with {case}", _write("ann.csv", text), _agreement, ValidationError,
        ["agreement", "--annotations", "ann.csv", "--out", "a"], 2, "ann.csv",
@@ -1213,6 +1277,10 @@ MALFORMED = [
           ("record split across lines", LOG_RECORD.split(' "A"'), 1,
            "JSONDecodeError('Expecting value: line 1 column 55 (char 54)')"),
       )),
+    # json decodes the escape to a lone surrogate, which no UTF-8 file can hold:
+    # the model id is refused on the line where it first appears.
+    ("log model id with a lone surrogate", _bank_and_log(SURROGATE_RECORD), _load_log,
+     ValidationError, GRADE_ARGV, 2, "log.jsonl", SURROGATE_MESSAGE),
     # json's errors that are not a JSONDecodeError; their messages go on past the prefix.
     ("log attempt of 5,000 digits", _bank_and_log(LOG_RECORD.replace("0", "9" * 5000)),
      _load_log, FormatError, GRADE_ARGV, 2, "log.jsonl",
@@ -1290,6 +1358,13 @@ def test_malformed_input_table(
     assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
+def test_grade_refuses_a_lone_surrogate_model_id_before_writing(tmp_path, monkeypatch, capsys):
+    _bank_and_log(SURROGATE_RECORD)(tmp_path)
+    returncode, stderr = _run_module_main(tmp_path, monkeypatch, capsys, GRADE_ARGV)
+    assert (returncode, stderr) == (2, f"error: {SURROGATE_MESSAGE}\n")
+    assert not (tmp_path / "g" / "scores.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # warnings.log: every diagnostic the CLI can reach, through one channel
 # ---------------------------------------------------------------------------
@@ -1319,6 +1394,16 @@ def _graded_logs(root):
     (root / "log.jsonl").write_text("".join(json.dumps(a) + "\n" for a in attempts))
 
 
+def _one_unparseable_output_three_times(root):
+    _write_bank(root)
+    attempts = [("m1", "q1", 0, "A"), ("m1", "q1", 1, "no idea"), ("m1", "q2", 0, "B"),
+                ("m2", "q1", 0, "no idea"), ("m2", "q2", 0, "no idea")]
+    (root / "log.jsonl").write_text("".join(
+        json.dumps({"model": m, "item": i, "attempt": a, "output": o}) + "\n"
+        for m, i, a, o in attempts
+    ))
+
+
 FIT_QUIET = ["--qmatrix", "qmatrix.csv", "--skills", "2", "--starts", "1", "--max-iters", "20"]
 
 # (case id, setup, argv without --out, the lines warnings.log must hold)
@@ -1339,6 +1424,10 @@ WARNING_CASES = [
     ("grade: unparseable output", _graded_logs,
      ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--repeats", "2"],
      ["could not extract a choice from output 'I am not sure.'; scoring 0"]),
+    # Graded once per distinct output, but each attempt logs its own line.
+    ("grade: one unparseable output, three attempts", _one_unparseable_output_three_times,
+     ["grade", "--bank", "bank.json", "--logs", "log.jsonl", "--repeats", "2"],
+     ["could not extract a choice from output 'no idea'; scoring 0"] * 3),
     ("agreement: none", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu1,a,b\n"),
      ["agreement", "--annotations", "ann.csv"], []),
 ]

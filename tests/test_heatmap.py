@@ -128,6 +128,7 @@ def test_svg_parses_and_reads_ids_back():
 
 @pytest.mark.parametrize("char", ["\x00", "\x01", "\x1f", "\ud800", "\ufffe", "\uffff"])
 def test_svg_refuses_id_xml_cannot_carry(char):
+    # The matrix refuses the id before render_svg sees it, so every matrix renders.
     with pytest.raises(ValidationError, match=re.escape(f"id {'a' + char + 'b'!r} holds")):
         render_svg(_mastery([[0.5]], model_ids=("a" + char + "b",)))
 
@@ -216,8 +217,8 @@ def _masteries(draw):
     prob = np.array(draw(st.lists(_prob_values, min_size=n * k, max_size=n * k))).reshape(n, k)
     return _mastery(
         prob,
-        model_ids=tuple(draw(st.lists(_ids, min_size=n, max_size=n))),
-        concept_ids=tuple(draw(st.lists(_ids, min_size=k, max_size=k))),
+        model_ids=tuple(draw(st.lists(_ids, min_size=n, max_size=n, unique=True))),
+        concept_ids=tuple(draw(st.lists(_ids, min_size=k, max_size=k, unique=True))),
     )
 
 

@@ -11,7 +11,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cdmkit import write_json
+from cdmkit import ValidationError, write_json
+from cdmkit.manifest import checked_ids, first_duplicate
+from oracles import xml_char
 
 # Strings that json escapes: quotes, backslashes, control characters,
 # non-ASCII text and a character outside the BMP (a surrogate pair in JSON).
@@ -185,3 +187,41 @@ def test_write_json_does_not_list_an_array(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < 0.1 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
+# ---------------------------------------------------------------------------
+# checked_ids against XML 1.0's Char production, read code point by code point
+# ---------------------------------------------------------------------------
+
+# Both edges of every range of Char, the surrogates (which st.characters draws
+# only when asked), and any code point at all.
+_EDGES = [0x0, 0x8, 0x9, 0xA, 0xB, 0xC, 0xD, 0xE, 0x1F, 0x20, 0x7F, 0x85, 0xD7FF, 0xD800,
+          0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0xFFFD, 0xFFFE, 0xFFFF, 0x10000, 0x10FFFF]
+_id_chars = st.sampled_from([chr(point) for point in _EDGES]) | st.integers(0, 0x10FFFF).map(chr)
+
+
+@settings(max_examples=500, deadline=None)
+@example(["a\ud800"])
+@example([" edge ", "\t", "x\r\ny", "\U0001f600"])
+@example(["ok", "a\x01b", ""])
+@given(
+    # Distinct non-empty ids put the character rule to the test; any ids, the other two.
+    st.lists(st.text(_id_chars, min_size=1, max_size=3), max_size=4, unique=True)
+    | st.lists(st.text(_id_chars, max_size=3), max_size=4)
+)
+def test_checked_ids_matches_the_xml_char_oracle(ids):
+    bad = [i for i in ids if not all(map(xml_char, i))]
+    if "" in ids:
+        message = "model with empty id"
+    elif len(set(ids)) < len(ids):
+        message = f"duplicate model id {first_duplicate(ids)!r}"
+    elif bad:
+        char = next(c for c in bad[0] if not xml_char(c))
+        message = f"model id {bad[0]!r} holds {char!r}, which XML 1.0 cannot carry"
+    else:
+        # Any other text is an id as written, edge whitespace included.
+        assert checked_ids(iter(ids), "model") == tuple(ids)
+        return
+    with pytest.raises(ValidationError) as caught:
+        checked_ids(iter(ids), "model")
+    assert str(caught.value) == message

@@ -32,7 +32,7 @@ from cdmkit import (
 )
 from cdmkit.manifest import open_text
 from cdmkit.responses import load_matrix_csv, save_matrix_csv
-from oracles import save_response_log
+from oracles import save_response_log, xml_char
 
 
 def _log(model, *entries):
@@ -183,12 +183,14 @@ def test_jsonl_round_trip(tmp_path):
 TRICKY_TEXT = ["", '"', "\\", "a\nb", "a\r\nb", "\x00", "\x85", "\u2028", "答案：B", " edge "]
 
 _text = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+# A model id is non-empty text that XML 1.0 can carry (the rule checked_ids applies).
+_model_ids = st.text(st.characters(exclude_categories=("Cs",)).filter(xml_char), min_size=1, max_size=8)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @example(("m\u2028,\"x\"", [(t, k, TRICKY_TEXT[-1 - k]) for k, t in enumerate(TRICKY_TEXT)]))
 @given(st.tuples(
-    _text.filter(bool),
+    _model_ids,
     st.lists(st.tuples(_text, st.integers(min_value=0), _text), max_size=8,
              unique_by=lambda e: e[:2]),
 ))

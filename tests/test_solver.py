@@ -28,7 +28,7 @@ from cdmkit import (
     simulate,
 )
 from cdmkit.solver import EPSILON, _init_factors, _stack
-from oracles import objective_gradients
+from oracles import objective_gradients, xml_char
 
 
 def _random_problem(rng, m=6, n=4, k=3, t=2):
@@ -580,7 +580,8 @@ def test_mastery_bundle_round_trip(tmp_path):
     np.testing.assert_array_equal(back.prob, m.prob)
 
 
-_ids = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+# Ids: non-empty text that XML 1.0 can carry (the rule checked_ids applies).
+_ids = st.text(st.characters(exclude_categories=("Cs",)).filter(xml_char), min_size=1, max_size=6)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
