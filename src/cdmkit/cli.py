@@ -399,16 +399,21 @@ SWEEP_OPTIONS = (
 
 
 def _parse_grid(text: str, flag: str, kind: type) -> list:
-    """Comma-separated grid values; a token ``kind`` cannot parse is a usage error."""
+    """Comma-separated grid values.  A token ``kind`` cannot parse, or a value
+    given twice (``2,2``, or ``1,1.0`` as floats), is a usage error: each grid
+    point is fitted once."""
     values = []
     for token in text.split(","):
         if token:
             try:
-                values.append(kind(token))
+                value = kind(token)
             except ValueError:
                 raise ValidationError(
                     f"{flag}: {token!r} is not a valid {kind.__name__}"
                 ) from None
+            if value in values:
+                raise ValidationError(f"{flag}: {value!r} is given twice")
+            values.append(value)
     return values
 
 

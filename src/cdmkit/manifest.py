@@ -7,10 +7,10 @@ checked for identity; the timestamp is the only field allowed to differ
 between identical reruns.  :func:`write_json` writes every JSON file: exactly
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
 newline, streamed to the file as they are encoded rather than built as one
-string; a numpy array or a generator in the payload is written as the list
-it stands for, without that list being built.  :func:`read_json` reads every
-JSON input, every text input is opened through :func:`open_text`, and the
-input rules loaders share are here.
+string; a numpy array, a generator or :class:`NumberRows` in the payload is
+written as the list it stands for, without that list being built.
+:func:`read_json` reads every JSON input, every text input is opened through
+:func:`open_text`, and the input rules loaders share are here.
 """
 
 from __future__ import annotations
@@ -31,7 +31,21 @@ from . import __version__
 from .errors import FormatError, ValidationError
 
 MANIFEST_NAME = "manifest.json"
-_CONTAINERS = (dict, list, tuple, np.ndarray, GeneratorType)
+
+
+class NumberRows:
+    """Rows of JSON number text, for :func:`write_json` to write as the list
+    of lists of those numbers, taking one row at a time: ``rows`` is any
+    iterable of lists of strings, such as ``repr`` of finite floats, which is
+    the text json writes for them.  The text is written as given."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[list[str]]) -> None:
+        self.rows = rows
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray, GeneratorType, NumberRows)
 _EMPTY = object()  # what next() gives for a generator that yields nothing
 # What XML 1.0 cannot carry (§2.2 Char), even as a reference: C0 controls
 # other than tab, LF and CR; surrogates; U+FFFE and U+FFFF.
@@ -45,12 +59,13 @@ def write_json(path: str | Path, payload: object) -> None:
     fails, no file is left at ``path``.
 
     A numpy array is written as its ``tolist()`` would be, one row at a
-    time, and a generator as the list of what it yields (``[]`` if nothing),
-    taken one item at a time; json itself takes neither.  A list, tuple or
-    dict that holds another container is written item by item; whether it
-    does is checked once per distinct type of its items, and a subclass (a
-    ``NamedTuple``, an ``OrderedDict``) counts as a container, as it does
-    for json.  Everything else, dict keys included, goes through one json
+    time, a generator as the list of what it yields (``[]`` if nothing),
+    taken one item at a time, and a :class:`NumberRows` as the list of its
+    rows of numbers, one row at a time; json itself takes none of them.  A
+    list, tuple or dict that holds another container is written item by
+    item; whether it does is checked once per distinct type of its items,
+    and a subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a
+    container, as it does for json.  Everything else, dict keys included, goes through one json
     encoder per nesting depth, made once for the whole call."""
     path = Path(path)
     fh = open(path, "w", encoding="utf-8")
@@ -85,11 +100,20 @@ def _write_value(
     ``indent=2`` and ``sort_keys=True``, an array as its ``tolist()`` and a
     generator as the list it yields.  A generator, an array of two or more
     dimensions (as its rows) and a container that holds containers are
-    written item by item; anything else goes to the encoder of ``depth`` in
-    one call."""
+    written item by item, and :class:`NumberRows` row by row; anything else
+    goes to the encoder of ``depth`` in one call."""
     if isinstance(value, np.ndarray):
         value = value.tolist() if value.ndim < 2 else list(value)
     inner = "\n" + "  " * (depth + 1)
+    if isinstance(value, NumberRows):
+        cells = ",\n" + "  " * (depth + 2)
+        start = "["
+        for row in value.rows:
+            row_text = "[" + cells[1:] + cells.join(row) + inner + "]" if row else "[]"
+            write(start + inner + row_text)
+            start = ","
+        write("[]" if start == "[" else "\n" + "  " * depth + "]")
+        return
     encode = encoders[depth].encode
     is_dict = isinstance(value, dict)
     if isinstance(value, GeneratorType):

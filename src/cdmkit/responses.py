@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 from numpy.typing import NDArray
@@ -259,8 +259,8 @@ def aggregate(
 # CSV round-trip (scores and weights as parallel files)
 # ---------------------------------------------------------------------------
 
-# save_matrix_csv formats about this many cells at a time: enough for a
-# repeated value to be formatted rarely, few enough to keep the memory small.
+# cell_text formats about this many cells at a time: enough for a repeated
+# value to be formatted rarely, few enough to keep the memory small.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -268,6 +268,50 @@ class _Lines(list):
     """A file for ``csv.writer`` that keeps each row it writes as one string."""
 
     write = list.append
+
+
+def cell_text(matrix: NDArray[np.float64]) -> Iterator[list[list[str]]]:
+    """The cells of a 2-D ``matrix`` as float64 ``repr`` text (shortest
+    round-trip form, which is also json's), in blocks of about
+    ``_BLOCK_CELLS`` cells: each block a list of whole rows, each row a list
+    of cell texts.  Each distinct value of a block is formatted once.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own text."""
+    bits = np.asarray(matrix, dtype=np.float64).view(np.uint64)
+    step = max(1, _BLOCK_CELLS // max(1, bits.shape[1]))
+    for start in range(0, len(bits), step):
+        block = bits[start : start + step]
+        distinct, index = np.unique(block, return_inverse=True)
+        text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+        yield text[index.reshape(block.shape)].tolist()
+
+
+def matrix_csv_writer(
+    fh: TextIO,
+    row_ids: tuple[str, ...],
+    col_ids: tuple[str, ...],
+    corner: str = "id",
+) -> Callable[[list[list[str]]], None]:
+    """Write the header of a labelled-matrix CSV to ``fh`` (opened with
+    ``newline=""``) and return a function that writes the next rows of cell
+    text, as :func:`cell_text` gives them, under the next row ids.
+
+    The bytes are those ``csv.writer`` writes for the rows, but only the ids
+    pass through ``csv``: a cell never needs quoting, so each row is written
+    as ``<id>,<cell>,<cell>…\r\n`` by one ``str.join``.
+    """
+    csv.writer(fh).writerow([corner, *col_ids])
+    # Each id quoted as csv quotes the first of several fields: written with an
+    # empty second field, so it ends in ",\r\n"; the comma stays.  With no
+    # columns a row is its id alone, and csv writes a lone empty id as "".
+    quoted = _Lines()
+    csv.writer(quoted).writerows([rid, ""] if col_ids else [rid] for rid in row_ids)
+    heads = (line[:-2] for line in quoted)
+
+    def write_rows(rows: list[list[str]]) -> None:
+        # rows before heads: zip stops at the last row without taking a head.
+        fh.writelines(head + ",".join(row) + "\r\n" for row, head in zip(rows, heads))
+
+    return write_rows
 
 
 def save_matrix_csv(
@@ -280,37 +324,14 @@ def save_matrix_csv(
     """Generic labelled-matrix CSV: header of column ids, first column row ids.
 
     Floats are written with ``repr`` (shortest round-trip form) so that
-    save→load is bit-exact and reruns produce byte-identical files.  The bytes
-    are those ``csv.writer`` writes for the rows, but only the ids pass
-    through ``csv``: a cell never needs quoting, so each row is written as
-    ``<id>,<cell>,<cell>…\r\n`` by one ``str.join``.
+    save→load is bit-exact and reruns produce byte-identical files; the bytes
+    are those ``csv.writer`` writes.  Rows go to the file one block of
+    :func:`cell_text` at a time, so no block-sized string is held.
     """
-    bits = np.asarray(matrix, dtype=np.float64).view(np.uint64)
-    step = max(1, _BLOCK_CELLS // max(1, bits.shape[1]))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([corner, *col_ids])
-        if not bits.shape[1]:
-            # A row is its id alone; csv writes a lone empty id as "".
-            writer.writerows([rid] for rid in row_ids)
-            return
-        # Each id quoted as csv quotes the first of several fields: written
-        # with an empty second field, so it ends in ",\r\n"; the comma stays.
-        quoted = _Lines()
-        csv.writer(quoted).writerows([rid, ""] for rid in row_ids)
-        heads = [line[:-2] for line in quoted]
-        # Each distinct value of a block of rows is formatted once.  Values
-        # are told apart by their bits, so -0.0 and 0.0 keep their own text.
-        # Rows go to the file one at a time, so no block-sized string is held.
-        for start in range(0, len(bits), step):
-            block = bits[start : start + step]
-            distinct, index = np.unique(block, return_inverse=True)
-            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-            cells = text[index.reshape(block.shape)].tolist()
-            fh.writelines(
-                head + ",".join(row) + "\r\n"
-                for head, row in zip(heads[start : start + step], cells)
-            )
+        write_rows = matrix_csv_writer(fh, row_ids, col_ids, corner)
+        for rows in cell_text(matrix):
+            write_rows(rows)
 
 
 def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, ...], tuple[str, ...]]:

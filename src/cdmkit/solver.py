@@ -109,13 +109,16 @@ import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
-from .manifest import check_format_version, checked_ids, naming, read_json, write_json
-from .responses import load_matrix_csv, save_matrix_csv
+from .manifest import (
+    NumberRows, check_format_version, checked_ids, naming, read_json, write_json,
+)
+from .responses import cell_text, load_matrix_csv, matrix_csv_writer, save_matrix_csv
 
 log = logging.getLogger(__name__)
 
@@ -589,23 +592,38 @@ def save_fit_bundle(
 
 
 def save_mastery(m: MasteryMatrix, out_dir: str | Path) -> list[Path]:
-    """Write mastery CSVs plus a JSON bundle holding ids, raw and prob."""
+    """Write ``mastery_raw.csv``, ``mastery_prob.csv`` and ``mastery.json``,
+    a bundle that holds the ids and both matrices again.
+
+    Each cell is formatted once.  Each block of :func:`cell_text` rows goes
+    to its CSV and then to the bundle, as :func:`write_json` takes it, so the
+    bundle's numbers are the CSVs' cell text and one block of text is held
+    at a time."""
     out_dir = Path(out_dir)
     raw_path = out_dir / "mastery_raw.csv"
     prob_path = out_dir / "mastery_prob.csv"
-    save_matrix_csv(m.raw, m.model_ids, m.concept_ids, raw_path, corner="model_id")
-    save_matrix_csv(m.prob, m.model_ids, m.concept_ids, prob_path, corner="model_id")
     bundle = out_dir / "mastery.json"
-    payload = {
-        "format_version": MASTERY_FORMAT_VERSION,
-        "model_ids": list(m.model_ids),
-        "concept_ids": list(m.concept_ids),
-        # float64 first: an integer array would list ints, written without ".0".
-        "raw": np.asarray(m.raw, dtype=np.float64),
-        "prob": np.asarray(m.prob, dtype=np.float64),
-    }
-    write_json(bundle, payload)
+    ids = (m.model_ids, m.concept_ids, "model_id")
+    with open(raw_path, "w", newline="", encoding="utf-8") as raw_fh, \
+            open(prob_path, "w", newline="", encoding="utf-8") as prob_fh:
+        write_json(bundle, {
+            "format_version": MASTERY_FORMAT_VERSION,
+            "model_ids": list(m.model_ids),
+            "concept_ids": list(m.concept_ids),
+            "raw": NumberRows(_written_rows(m.raw, matrix_csv_writer(raw_fh, *ids))),
+            "prob": NumberRows(_written_rows(m.prob, matrix_csv_writer(prob_fh, *ids))),
+        })
     return [raw_path, prob_path, bundle]
+
+
+def _written_rows(
+    matrix: NDArray[np.float64], write_rows: Callable[[list[list[str]]], None]
+) -> Iterator[list[str]]:
+    """The rows of ``cell_text(matrix)``, each block once ``write_rows`` has
+    written it."""
+    for rows in cell_text(matrix):
+        write_rows(rows)
+        yield from rows
 
 
 def load_mastery(path: str | Path) -> MasteryMatrix:

@@ -16,8 +16,8 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import (
-    _effective, _load_annotations, _load_fit_inputs, build_parser, cmd_agreement, cmd_diagnose,
-    cmd_grade, main,
+    _effective, _load_annotations, _load_fit_inputs, _parse_grid, build_parser, cmd_agreement,
+    cmd_diagnose, cmd_grade, main,
 )
 from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
@@ -1246,6 +1246,13 @@ MALFORMED = [
      ValidationError,
      ["sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2,0",
       "--out", "sw"], 2, "", "n_skills must be >= 1"),
+    # A grid point given twice would be fitted twice and written as two equal rows.
+    *((f"sweep repeated {flag[2:]}", lambda root: None,
+       lambda root, flag=flag, grid=grid, kind=kind: _parse_grid(grid, flag, kind),
+       ValidationError, [*SWEEP_ARGV, flag, grid], 2, flag, f"{flag}: {value} is given twice")
+      for flag, grid, kind, value in (
+          ("--skills-grid", "2,2", int, "2"), ("--q-weight-grid", "1,1.0", float, "1.0"),
+      )),
     # Rejected by SimConfig before any array is allocated.
     ("oversized simulate flag", lambda root: None, lambda root: SimConfig(10**30, 3, 4, 2),
      ValidationError, ["simulate", "--items", str(10**30), "--out", "s"], 2, "n_items",

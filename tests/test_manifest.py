@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cdmkit import ValidationError, write_json
-from cdmkit.manifest import checked_ids, first_duplicate
+from cdmkit.manifest import NumberRows, checked_ids, first_duplicate
 from oracles import xml_char
 
 # Strings that json escapes: quotes, backslashes, control characters,
@@ -131,6 +131,38 @@ def test_arrays_and_generators_are_written_as_their_lists(tmp_path, spec):
     write_json(path, payload)
     expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+# Rows of finite floats of shape (0, k), (n, 0) or n x k.
+_float_rows = st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                 min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0],
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example([[-0.0, 0.0]])
+@example([[5e-324], [-5e-324]])
+@example([[1e16, 1e22], [-1e16, 1e-7]])
+@example([[0.1, 0.1, 0.30000000000000004]])
+@example([[], []])
+@given(_float_rows)
+def test_number_rows_are_written_as_json_writes_their_floats(tmp_path, rows):
+    def node():
+        # The rows come from a generator, and each cell is repr's text.
+        return NumberRows([repr(x) for x in row] for row in rows)
+
+    path = tmp_path / "v.json"
+    for payload, plain in (
+        (node(), rows),
+        ({"m": [node(), 1], "a": node()}, {"m": [rows, 1], "a": rows}),
+    ):
+        write_json(path, payload)
+        expected = json.dumps(plain, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("payload, message", [

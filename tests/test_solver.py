@@ -1,10 +1,13 @@
+import csv
+import io
 import json
 import re
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdmkit import (
@@ -611,6 +614,63 @@ def test_mastery_bundle_round_trip_property(tmp_path, m):
         assert got.dtype == np.float64 and got.shape == want.shape
         # Bit patterns, so -0.0 and 0.0 differ.
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _mastery_files_per_cell(m):
+    """The bytes of the three files save_mastery must write: csv rows of repr
+    per cell, and json.dumps of the bundle's lists."""
+    files = {}
+    for name, matrix in (("mastery_raw.csv", m.raw), ("mastery_prob.csv", m.prob)):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["model_id", *m.concept_ids])
+        for model_id, row in zip(m.model_ids, matrix.tolist()):
+            writer.writerow([model_id, *map(repr, row)])
+        files[name] = buf.getvalue()
+    files["mastery.json"] = json.dumps({
+        "format_version": 1, "model_ids": list(m.model_ids), "concept_ids": list(m.concept_ids),
+        "raw": m.raw.tolist(), "prob": m.prob.tolist(),
+    }, indent=2, sort_keys=True) + "\n"
+    return {name: text.encode("utf-8") for name, text in files.items()}
+
+
+def _tall_mastery():
+    # 700 x 100 cells: more than one 65,536-cell block, with values that
+    # repeat within and across blocks, -0.0 among them.
+    rng = np.random.default_rng(33)
+    prob = rng.choice([0.0, -0.0, 0.5, 0.1, 5e-324, 1.0], (700, 100))
+    raw = np.where(rng.random((700, 100)) < 0.5, prob, rng.random((700, 100)) * 1e16)
+    return MasteryMatrix(raw, prob, tuple(f'm"{j},' for j in range(700)),
+                         tuple(f"c{k}" for k in range(100)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# Ids that csv must quote: a comma, a quote, line breaks.
+@example(MasteryMatrix(np.array([[1.5, -0.0], [1e22, 0.1]]), np.array([[1.0, 0.0], [0.25, -0.0]]),
+                       ("a,b", 'q"x'), ("x\r\ny", "\n")))
+@example(_tall_mastery())
+@example(MasteryMatrix(np.zeros((2, 0)), np.zeros((2, 0)), ("m,0", "m1"), ()))
+@example(MasteryMatrix(np.zeros((0, 2)), np.zeros((0, 2)), (), ("c,0", "c1")))
+@given(_mastery_matrices())
+def test_mastery_files_match_per_cell_oracle(tmp_path, m):
+    paths = save_mastery(m, tmp_path)
+    assert [p.name for p in paths] == ["mastery_raw.csv", "mastery_prob.csv", "mastery.json"]
+    assert {p.name: p.read_bytes() for p in paths} == _mastery_files_per_cell(m)
+
+
+def test_save_mastery_holds_one_block_of_text(tmp_path):
+    # 300 models x 1000 concepts: one block of cell text at a time peaks near
+    # 14 MB; holding a whole matrix's text peaks near 61 MB.
+    raw = np.random.default_rng(34).random((300, 1000)) * 3
+    m = MasteryMatrix(raw, raw / 3, tuple(f"m{j}" for j in range(300)),
+                      tuple(f"c{k}" for k in range(1000)))
+    tracemalloc.start()
+    try:
+        save_mastery(m, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, f"peak {peak} bytes"
 
 
 def test_mastery_bundle_with_old_normalization_tag_loads(tmp_path):
