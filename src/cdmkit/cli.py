@@ -6,8 +6,8 @@ produce numerically identical output files; only the manifest timestamp may
 differ between reruns.  Option precedence: command-line flags beat the
 --config file, which beats built-in defaults; the effective configuration is
 echoed into the manifest.  Each subcommand declares its options once, in a
-table of :class:`Option` rows, and every value is checked against its row
-before any input is read.
+table of :class:`Option` rows, and every value is checked against its row,
+and every required input is checked to be given, before any input is read.
 Every warning is logged under ``cdmkit``; :func:`main` writes a successful
 command's records to ``<out>/warnings.log``, then the manifest, and prints a
 failed command's records to stderr before the error.
@@ -85,7 +85,7 @@ def _is_number(value: object) -> bool:
 class Option:
     """One option: ``key`` is its config-file and manifest key, and with ``_``
     written as ``-`` its flag.  ``kind`` is int, float or str; ``field`` names
-    the SimConfig/McfConfig field it feeds, if any.
+    the SimConfig/McfConfig field it feeds, if any; a ``required`` one must be set.
     """
 
     key: str
@@ -95,12 +95,17 @@ class Option:
     choices: tuple[str, ...] = ()
     field: str | None = None
     help: str | None = None
+    required: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         kwargs: dict = {"dest": self.key, "help": self.help, "choices": self.choices or None}
         if self.kind is not str:
             kwargs["type"] = self.kind
-        parser.add_argument("--" + self.key.replace("_", "-"), *self.aliases, **kwargs)
+        parser.add_argument(self.flag, *self.aliases, **kwargs)
 
     def check(self, value: object, source: str) -> object:
         """``value`` as this option's type, or a FormatError naming ``source``.
@@ -163,22 +168,22 @@ def _out_dir(effective: dict) -> Path:
 # ---------------------------------------------------------------------------
 
 SIMULATE_OPTIONS = (
-    Option("items", int, 210, ("--m",), field="n_items"),
-    Option("models", int, 30, ("--n",), field="n_models"),
-    Option("concepts", int, 70, ("--k",), field="n_concepts"),
-    Option("skills", int, 5, ("--t",), field="n_skills"),
+    _field(SimConfig, "n_items", "items", aliases=("--m",)),
+    _field(SimConfig, "n_models", "models", aliases=("--n",)),
+    _field(SimConfig, "n_concepts", "concepts", aliases=("--k",)),
+    _field(SimConfig, "n_skills", "skills", aliases=("--t",)),
     _field(SimConfig, "seed"),
     Option("out", str, "sim_out"),
 )
 
 
-def cmd_simulate(eff: dict) -> tuple[list[str], int | None]:
+def cmd_simulate(eff: dict) -> list[str]:
     config = SimConfig(**_fields(SIMULATE_OPTIONS, eff))
     sim = simulate(config)
     out = _out_dir(eff)
     save_sim_output(sim, out)
     print(f"simulated {config.n_items}x{config.n_models} world -> {out}")
-    return [], config.seed
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +191,14 @@ def cmd_simulate(eff: dict) -> tuple[list[str], int | None]:
 # ---------------------------------------------------------------------------
 
 GRADE_OPTIONS = (
-    Option("bank", str),
-    Option("logs", str, help="glob of JSONL response logs"),
+    Option("bank", str, required=True),
+    Option("logs", str, help="glob of JSONL response logs", required=True),
     Option("repeats", int, DEFAULT_REPEATS),
     Option("out", str, "grade_out"),
 )
 
 
-def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
-    if not eff["bank"] or not eff["logs"]:
-        raise ValidationError("grade requires --bank and --logs")
+def cmd_grade(eff: dict) -> list[str]:
     bank = load_item_bank(eff["bank"])
     log_paths = sorted(globmod.glob(eff["logs"]))
     if not log_paths:
@@ -209,7 +212,7 @@ def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
     out = _out_dir(eff)
     save_response_matrix(matrix, out / "scores.csv", out / "weights.csv")
     print(f"graded {len(matrix.item_ids)} items x {len(matrix.model_ids)} models -> {out}")
-    return [eff["bank"], *log_paths], None
+    return [eff["bank"], *log_paths]
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +220,9 @@ def cmd_grade(eff: dict) -> tuple[list[str], int | None]:
 # ---------------------------------------------------------------------------
 
 FIT_OPTIONS = (
-    Option("scores", str),
+    Option("scores", str, required=True),
     Option("weights", str),
-    Option("qmatrix", str),
+    Option("qmatrix", str, required=True),
     _field(McfConfig, "n_skills", "skills", aliases=("--t",)),
     *(_field(McfConfig, name) for name in ("q_weight", "ridge_item", "ridge_model", "ridge_concept")),
     *(_field(McfConfig, name) for name in ("max_iters", "tol", "seed")),
@@ -228,9 +231,7 @@ FIT_OPTIONS = (
 )
 
 
-def _load_fit_inputs(eff: dict, command: str):
-    if not eff["scores"] or not eff["qmatrix"]:
-        raise ValidationError(f"{command} requires --scores and --qmatrix")
+def _load_fit_inputs(eff: dict):
     matrix = load_response_matrix(eff["scores"], eff["weights"])
     if not matrix.n_items:
         raise FormatError(f"{eff['scores']}: no data rows")
@@ -264,9 +265,9 @@ def _load_fit_inputs(eff: dict, command: str):
     return matrix, qmat, concept_ids, inputs
 
 
-def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
+def cmd_fit(eff: dict) -> list[str]:
     config = McfConfig(**_fields(FIT_OPTIONS, eff))
-    matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff, "fit")
+    matrix, qmat, concept_ids, inputs = _load_fit_inputs(eff)
     result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
     mm = mastery(result.factors, model_ids=matrix.model_ids, concept_ids=concept_ids)
     predicted = predict_scores(result.factors)
@@ -284,7 +285,7 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
         f"fit seed={result.seed} objective={result.objective:.6g} "
         f"converged={result.converged} auc={auc_text} rmse={report.rmse:.4f} -> {out}"
     )
-    return inputs, config.seed
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +293,14 @@ def cmd_fit(eff: dict) -> tuple[list[str], int | None]:
 # ---------------------------------------------------------------------------
 
 DIAGNOSE_OPTIONS = (
-    Option("mastery", str, help="path to a mastery.json bundle"),
+    Option("mastery", str, help="path to a mastery.json bundle", required=True),
     Option("threshold", float, 0.9),
     Option("clusters", int, 2),
     Option("out", str, "diagnose_out"),
 )
 
 
-def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
-    if not eff["mastery"]:
-        raise ValidationError("diagnose requires --mastery (a mastery.json bundle)")
+def cmd_diagnose(eff: dict) -> list[str]:
     mm = load_mastery(eff["mastery"])
     if not mm.n_concepts:
         raise ValidationError(f"{eff['mastery']}: no concepts to diagnose")
@@ -328,7 +327,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
     (out / "heatmap.svg").write_text(svg, encoding="utf-8")
     write_json(out / "clusters.json", clusters_doc)
     print(f"diagnosed {mm.n_models} models over {mm.n_concepts} concepts -> {out}")
-    return [eff["mastery"]], None
+    return [eff["mastery"]]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +335,7 @@ def cmd_diagnose(eff: dict) -> tuple[list[str], int | None]:
 # ---------------------------------------------------------------------------
 
 AGREEMENT_OPTIONS = (
-    Option("annotations", str),
+    Option("annotations", str, required=True),
     Option("distance", str, "nominal", choices=tuple(DISTANCES)),
     Option("out", str, "agreement_out"),
 )
@@ -372,16 +371,14 @@ def _load_annotations(path: str, distance: str) -> list[list[object]]:
     return table
 
 
-def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
-    if not eff["annotations"]:
-        raise ValidationError("agreement requires --annotations")
+def cmd_agreement(eff: dict) -> list[str]:
     table = _load_annotations(eff["annotations"], eff["distance"])
     with naming(eff["annotations"]):
         report = krippendorff_alpha(table, distance=eff["distance"])
     out = _out_dir(eff)
     write_json(out / "agreement.json", asdict(report))
     print(f"alpha={report.krippendorff_alpha:.4f} over {report.n_units} units -> {out}")
-    return [eff["annotations"]], None
+    return [eff["annotations"]]
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +388,35 @@ def cmd_agreement(eff: dict) -> tuple[list[str], int | None]:
 SWEEP_OPTIONS = (
     *(o for o in FIT_OPTIONS if o.key in ("scores", "weights", "qmatrix")),
     Option("skills_grid", str, "4,8,16,32"),
-    Option("q_weight_grid", str, "1.0"),
+    Option("q_weight_grid", str, repr(McfConfig.q_weight)),
     *(o for o in FIT_OPTIONS if o.key in ("max_iters", "tol", "seed")),
     Option("starts", int, 1),
     Option("out", str, "sweep_out"),
 )
 
 
-def _parse_grid(text: str, flag: str, kind: type) -> list:
-    """Comma-separated grid values.  A token ``kind`` cannot parse, or a value
-    given twice (``2,2``, or ``1,1.0`` as floats), is a usage error: each grid
-    point is fitted once."""
+def _parse_grid(text: str, flag: str, field: str) -> list:
+    """Comma-separated values of McfConfig's ``field``.  A token its type cannot
+    parse or McfConfig refuses, or a value given twice (``2,2``, or ``1,1.0`` as
+    floats), is a usage error naming ``flag``: each grid point is fitted once."""
+    kind = type(getattr(McfConfig, field))
     values = []
     for token in text.split(","):
         if token:
             try:
                 value = kind(token)
-            except ValueError:
-                raise ValidationError(
-                    f"{flag}: {token!r} is not a valid {kind.__name__}"
-                ) from None
+                McfConfig(**{field: value})
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{flag}: {token!r}: {exc}") from None
             if value in values:
                 raise ValidationError(f"{flag}: {value!r} is given twice")
             values.append(value)
     return values
 
 
-def cmd_sweep(eff: dict) -> tuple[list[str], int | None]:
-    skills_grid = _parse_grid(eff["skills_grid"], "--skills-grid", int)
-    q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", float)
+def cmd_sweep(eff: dict) -> list[str]:
+    skills_grid = _parse_grid(eff["skills_grid"], "--skills-grid", "n_skills")
+    q_weight_grid = _parse_grid(eff["q_weight_grid"], "--q-weight-grid", "q_weight")
     if not skills_grid or not q_weight_grid:
         raise ValidationError("empty sweep grid")
     configs = [
@@ -427,7 +424,7 @@ def cmd_sweep(eff: dict) -> tuple[list[str], int | None]:
         for n_skills in skills_grid
         for q_weight in q_weight_grid
     ]
-    matrix, qmat, _, inputs = _load_fit_inputs(eff, "sweep")
+    matrix, qmat, _, inputs = _load_fit_inputs(eff)
     lines = ["n_skills,q_weight,objective,iterations,converged,accuracy,auc,rmse"]
     for config in configs:
         result = multistart_fit(matrix.scores, matrix.weights, qmat, config, starts=eff["starts"])
@@ -442,7 +439,7 @@ def cmd_sweep(eff: dict) -> tuple[list[str], int | None]:
     out = _out_dir(eff)
     (out / "sweep.csv").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     print(f"swept {len(skills_grid)}x{len(q_weight_grid)} grid -> {out}")
-    return inputs, eff["seed"]
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +483,13 @@ def main(argv: list[str] | None = None) -> int:
     logging.getLogger("cdmkit").addHandler(records)
     try:
         eff = _effective(args)
-        inputs, seed = args.func(eff)
+        missing = [o.flag for o in args.options if o.required and not eff[o.key]]
+        if missing:
+            raise ValidationError(f"{args.command} requires {' and '.join(missing)}")
+        inputs = args.func(eff)
         log_path = Path(eff["out"]) / "warnings.log"
         log_path.write_text(records.stream.getvalue(), encoding="utf-8")
-        write_manifest(eff["out"], args.command, eff, inputs=inputs, seed=seed)
+        write_manifest(eff["out"], args.command, eff, inputs=inputs)
     except (FormatError, ValidationError, OSError) as exc:
         code, error = USAGE_ERROR, exc
     except (NumericalError, DegenerateDataError) as exc:

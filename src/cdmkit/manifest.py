@@ -7,14 +7,15 @@ checked for identity; the timestamp is the only field allowed to differ
 between identical reruns.  :func:`write_json` writes every JSON file: exactly
 the bytes ``json.dumps`` gives with ``indent=2`` and ``sort_keys=True``, and a
 newline, streamed to the file as they are encoded rather than built as one
-string; a numpy array, a generator or :class:`NumberRows` in the payload is
-written as the list it stands for, without that list being built.
+string; a generator or :class:`NumberRows` in the payload is written as the
+list it stands for, without that list being built.
 :func:`read_json` reads every JSON input, every text input is opened through
 :func:`open_text`, and the input rules loaders share are here.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
@@ -24,8 +25,6 @@ from itertools import chain
 from pathlib import Path
 from types import GeneratorType
 from typing import Callable, Iterable, Iterator, TextIO
-
-import numpy as np
 
 from . import __version__
 from .errors import FormatError, ValidationError
@@ -45,8 +44,10 @@ class NumberRows:
         self.rows = rows
 
 
-_CONTAINERS = (dict, list, tuple, np.ndarray, GeneratorType, NumberRows)
+_CONTAINERS = (dict, list, tuple, GeneratorType, NumberRows)
 _EMPTY = object()  # what next() gives for a generator that yields nothing
+# csv's default field size limit: the longest cell load_matrix_csv reads back.
+MAX_ID_LENGTH = 131_072
 # What XML 1.0 cannot carry (§2.2 Char), even as a reference: C0 controls
 # other than tab, LF and CR; surrogates; U+FFFE and U+FFFF.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -58,13 +59,12 @@ def write_json(path: str | Path, payload: object) -> None:
     it is encoded: the whole document is never held in memory.  If encoding
     fails, no file is left at ``path``.
 
-    A numpy array is written as its ``tolist()`` would be, one row at a
-    time, a generator as the list of what it yields (``[]`` if nothing),
-    taken one item at a time, and a :class:`NumberRows` as the list of its
-    rows of numbers, one row at a time; json itself takes none of them.  A
-    list, tuple or dict that holds another container is written item by
-    item; whether it does is checked once per distinct type of its items,
-    and a subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a
+    A generator is written as the list of what it yields (``[]`` if
+    nothing), taken one item at a time, and a :class:`NumberRows` as the
+    list of its rows of numbers, one row at a time; json itself takes
+    neither.  A list, tuple or dict that holds another container is written
+    item by item; whether it does is checked once per distinct type of its
+    items, and a subclass (a ``NamedTuple``, an ``OrderedDict``) counts as a
     container, as it does for json.  Everything else, dict keys included, goes through one json
     encoder per nesting depth, made once for the whole call."""
     path = Path(path)
@@ -97,13 +97,10 @@ def _write_value(
     encoders: _Encoders,
 ) -> None:
     """Write ``value`` as ``json.dumps`` does at nesting ``depth`` with
-    ``indent=2`` and ``sort_keys=True``, an array as its ``tolist()`` and a
-    generator as the list it yields.  A generator, an array of two or more
-    dimensions (as its rows) and a container that holds containers are
-    written item by item, and :class:`NumberRows` row by row; anything else
-    goes to the encoder of ``depth`` in one call."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist() if value.ndim < 2 else list(value)
+    ``indent=2`` and ``sort_keys=True``, and a generator as the list it
+    yields.  A generator and a container that holds containers are written
+    item by item, and :class:`NumberRows` row by row; anything else goes to
+    the encoder of ``depth`` in one call."""
     inner = "\n" + "  " * (depth + 1)
     if isinstance(value, NumberRows):
         cells = ",\n" + "  " * (depth + 2)
@@ -160,12 +157,14 @@ def _json_key(key: object, encode: Callable[[object], str]) -> str:
 @contextmanager
 def open_text(path: str | Path) -> Iterator[TextIO]:
     """``path`` open for reading as UTF-8 text, newlines untranslated (as
-    ``csv`` wants); a decode error in the block is a ``FormatError`` naming it."""
+    ``csv`` wants); a decode or csv error in the block is a FormatError naming it."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}: {exc}") from exc
 
 
 def read_json(path: str | Path) -> dict:
@@ -206,11 +205,11 @@ def first_duplicate(ids: Iterable[str]) -> str | None:
 
 
 def checked_ids(ids: Iterable[str], kind: str) -> tuple[str, ...]:
-    """``ids`` as a tuple, or a ``ValidationError`` naming the first ``kind``
-    id that is empty, repeats an earlier one, or holds a character XML 1.0
-    cannot carry, so that no writer, the SVG heatmap included, fails on an
-    id.  Other text, edge whitespace too, is an id as written.  Each rule is
-    one pass over all the ids; the offender is sought only when one fails."""
+    """``ids`` as a tuple, or a ``ValidationError`` naming the first ``kind`` id
+    that is empty, repeats an earlier one, holds a character XML 1.0 cannot carry
+    or is too long for csv to read back, so that no writer fails on an id and no
+    CSV written fails its reader.  Other text, edge whitespace too, is an id as
+    written.  Each rule is one pass; the offender is sought only when one fails."""
     ids = tuple(ids)
     if "" in ids:
         raise ValidationError(f"{kind} with empty id")
@@ -221,6 +220,10 @@ def checked_ids(ids: Iterable[str], kind: str) -> tuple[str, ...]:
         raise ValidationError(
             f"{kind} id {bad.string!r} holds {bad.group()!r}, which XML 1.0 cannot carry"
         )
+    long_id = next((i for i in ids if len(i) > MAX_ID_LENGTH), None)
+    if long_id is not None:
+        raise ValidationError(f"{kind} id {long_id[:20]!r}... holds {len(long_id):,} "
+                              f"characters, more than the {MAX_ID_LENGTH:,} a CSV cell can hold")
     return ids
 
 
@@ -242,19 +245,12 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(
-    out_dir: str | Path,
-    command: str,
-    config: dict,
-    inputs: list[str | Path] | None = None,
-    seed: int | None = None,
-) -> Path:
+def write_manifest(out_dir: str | Path, command: str, config: dict, inputs: list[str | Path]) -> Path:
     path = Path(out_dir) / MANIFEST_NAME
     write_json(path, {
         "command": command,
         "config": config,
-        "input_digests": {str(p): sha256_file(p) for p in (inputs or [])},
-        "seed": seed,
+        "input_digests": {str(p): sha256_file(p) for p in inputs},
         "tool_version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
     })

@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .bank import write_bank_json
 from .errors import DegenerateDataError, ValidationError
-from .manifest import write_json
+from .manifest import NumberRows, write_json
 from .metrics import average_ranks
 from .responses import save_matrix_csv
 from .solver import FactorSet, MasteryMatrix, _default_ids
@@ -55,17 +55,17 @@ def sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sizes and seed of one planted world.
+    """Sizes and seed of one planted world, by default the release-gate world.
 
     No matrix of the world may hold more than ``MAX_MATRIX_ELEMENTS`` entries,
     so every product of two of the four sizes is bounded; a larger world is
     rejected before anything is allocated.
     """
 
-    n_items: int
-    n_models: int
-    n_concepts: int
-    n_skills: int
+    n_items: int = 210
+    n_models: int = 30
+    n_concepts: int = 70
+    n_skills: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -200,8 +200,8 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
 
     Emits a stub item bank (synthetic ids/prompts), scores + weights CSVs,
     the tag matrix CSV, and truth.json with factors and probabilities.  The
-    bank's items are made one at a time as they are written, and the truth
-    arrays are written from the arrays a row at a time, so neither is held
+    bank's items are made one at a time as they are written, and each truth
+    matrix is formatted a row at a time as it is written, so neither is held
     as a whole list of Python objects.
     """
     out_dir = Path(out_dir)
@@ -242,5 +242,7 @@ def save_sim_output(sim: SimOutput, out_dir: str | Path) -> dict[str, Path]:
         "p_mastery": sim.p_mastery,
     }
     paths["truth"] = out_dir / "truth.json"
-    write_json(paths["truth"], truth)
+    # Every value is finite, so repr is the text json writes for it.
+    write_json(paths["truth"], {name: NumberRows(list(map(repr, row.tolist())) for row in m)
+                                for name, m in truth.items()})
     return paths

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,8 +17,8 @@ import pytest
 import cdmkit
 from cdmkit.bank import load_item_bank
 from cdmkit.cli import (
-    _effective, _load_annotations, _load_fit_inputs, _parse_grid, build_parser, cmd_agreement,
-    cmd_diagnose, cmd_grade, main,
+    COMMANDS, _effective, _load_annotations, _load_fit_inputs, _parse_grid, build_parser,
+    cmd_agreement, cmd_diagnose, cmd_grade, main,
 )
 from cdmkit.errors import DegenerateDataError, DimensionError, FormatError, ValidationError
 from cdmkit.manifest import read_json
@@ -73,7 +74,8 @@ def test_simulate_writes_bundle(tmp_path, monkeypatch):
     assert {p.name for p in out.iterdir()} == SIM_FILES
     man = _manifest(out)
     assert man["command"] == "simulate"
-    assert man["seed"] == 7
+    assert "seed" not in man
+    assert man["config"]["seed"] == 7
     assert man["config"]["items"] == 12
     assert man["input_digests"] == {}
 
@@ -284,6 +286,66 @@ def test_malformed_config_table(tmp_path, monkeypatch, capsys, argv, config, key
     err = capsys.readouterr().err
     assert f"bad.json: {key} {message}" in err
     assert not (tmp_path / "out").exists()
+
+
+# Each command's required inputs, as flags with a value; none of the files exists.
+REQUIRED_INPUTS = {
+    "grade": ["--bank", "bank.json", "--logs", "*.jsonl"],
+    "fit": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv"],
+    "diagnose": ["--mastery", "mastery.json"],
+    "agreement": ["--annotations", "ann.csv"],
+    "sweep": ["--scores", "scores.csv", "--qmatrix", "qmatrix.csv"],
+}
+
+
+def _required_cases():
+    for command, inputs in REQUIRED_INPUTS.items():
+        flags = inputs[::2]
+        for n in range(1, len(flags) + 1):
+            for missing in itertools.combinations(flags, n):
+                for how in ("flag", "null in --config"):
+                    yield pytest.param(command, inputs, missing, how,
+                                       id=f"{command} without {' '.join(missing)} ({how})")
+
+
+def test_required_inputs_are_the_option_tables():
+    for command, (_, options, _) in COMMANDS.items():
+        assert [o.flag for o in options if o.required] == REQUIRED_INPUTS.get(command, [])[::2]
+
+
+@pytest.mark.parametrize("command, inputs, missing, how", _required_cases())
+def test_missing_required_input_names_only_the_missing_flags(
+    tmp_path, monkeypatch, capsys, command, inputs, missing, how
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--out", "out"]
+    for flag, value in zip(inputs[::2], inputs[1::2]):
+        if flag not in missing:
+            argv += [flag, value]
+    if how != "flag":
+        (tmp_path / "conf.json").write_text(
+            json.dumps({flag[2:].replace("-", "_"): None for flag in missing}), encoding="utf-8"
+        )
+        argv += ["--config", "conf.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {command} requires {' and '.join(missing)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_is_recorded_only_in_the_config(tmp_path, monkeypatch):
+    _write_fit_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["simulate", "--items", "6", "--models", "3", "--concepts", "4", "--skills", "2"],
+        ["fit", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills", "2",
+         "--starts", "1", "--max-iters", "5"],
+        ["sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2",
+         "--max-iters", "5"],
+    ):
+        assert main([*argv, "--seed", "7", "--out", argv[0]]) == 0
+        man = _manifest(tmp_path / argv[0])
+        assert set(man) == {"command", "config", "input_digests", "tool_version", "created_at"}
+        assert man["config"]["seed"] == 7
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +919,7 @@ def test_sweep_empty_grid_is_usage_error(tmp_path, monkeypatch, capsys):
 
 def test_sweep_requires_scores_and_qmatrix(capsys):
     assert main(["sweep", "--scores", "s.csv"]) == 2
-    assert "error: sweep requires --scores and --qmatrix" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: sweep requires --qmatrix\n"
 
 
 @pytest.mark.parametrize(
@@ -1007,11 +1069,9 @@ def _diagnose(root):
                   "out": str(root / "d")})
 
 
-def _load_fit_files(command):
-    def call(root):
-        _load_fit_inputs({"scores": root / "scores.csv", "weights": root / "weights.csv",
-                          "qmatrix": root / "qmatrix.csv"}, command)
-    return call
+def _load_fit_files(root):
+    _load_fit_inputs({"scores": root / "scores.csv", "weights": root / "weights.csv",
+                      "qmatrix": root / "qmatrix.csv"})
 
 
 def _agreement(root):
@@ -1089,18 +1149,24 @@ MALFORMED = [
      ValidationError, FIT_ARGV, 2, "weights.csv",
      "weights.csv: model id 'm2\\x01' holds '\\x01', which XML 1.0 cannot carry"),
     ("qmatrix concept id", _edit_lines(_set_cell(0, 2, "c1\uffff"), "qmatrix.csv"),
-     _load_fit_files("sweep"), ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
+     _load_fit_files, ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
      "qmatrix.csv: concept id 'c1\\uffff' holds '\\uffff', which XML 1.0 cannot carry"),
     ("empty file", _write("scores.csv", ""), _load_scores,
      FormatError, FIT_ARGV, 2, "scores.csv", "empty matrix file"),
+    # csv reads no cell longer than its field size limit, 131,072 characters.
+    ("header cell past csv's limit",
+     _edit_lines(lambda ls: [ls[0] + ",m" + "x" * 131_072] + [line + ",1.0" for line in ls[1:]],
+                 "scores.csv"),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
+     "scores.csv: field larger than field limit (131072)"),
     ("header-only scores", _edit_lines(lambda ls: ls[:1], "scores.csv", "weights.csv"),
-     _load_fit_files("fit"), FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
+     _load_fit_files, FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
     # Q-matrix rules name the Q-matrix file, in fit and in sweep.
     ("qmatrix without concept columns",
      _edit_lines(lambda ls: [line.split(",")[0] for line in ls], "qmatrix.csv"),
-     _load_fit_files("fit"), FormatError, FIT_ARGV, 2, "qmatrix.csv",
+     _load_fit_files, FormatError, FIT_ARGV, 2, "qmatrix.csv",
      "qmatrix.csv: no concept columns"),
-    ("qmatrix cell 2", _edit_lines(_set_cell(2, 1, "2"), "qmatrix.csv"), _load_fit_files("sweep"),
+    ("qmatrix cell 2", _edit_lines(_set_cell(2, 1, "2"), "qmatrix.csv"), _load_fit_files,
      ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
      "qmatrix.csv: row 'q1', column 'c0' holds 2.0; Q-matrix cells must be 0 or 1"),
     ("mastery missing a field", _edit_mastery(lambda p: p.pop("model_ids")),
@@ -1201,6 +1267,11 @@ MALFORMED = [
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
      "ann.csv", "ann.csv:3: 4 cells but the header has 3"),
+    ("annotation cell past csv's limit",
+     _write("ann.csv", "unit,c1,c2\nu0,a,a\nu1,a," + "b" * 131_073 + "\n"),
+     lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
+     FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
+     "ann.csv", "ann.csv: field larger than field limit (131072)"),
     ("duplicate unit id", _write("ann.csv", "unit,c1,c2\nu0,a,a\nu0,a,b\nu1,b,b\n"),
      lambda root: _load_annotations(str(root / "ann.csv"), "nominal"),
      FormatError, ["agreement", "--annotations", "ann.csv", "--out", "a"], 2,
@@ -1242,16 +1313,23 @@ MALFORMED = [
      DegenerateDataError,
      ["simulate", "--items", "3", "--models", "2", "--concepts", "1", "--skills", "1",
       "--seed", "3", "--out", "s"], 1, "", "could not find an item factor meeting the tag threshold"),
-    ("sweep zero skills", lambda root: None, lambda root: McfConfig(n_skills=0),
-     ValidationError,
-     ["sweep", "--scores", "scores.csv", "--qmatrix", "qmatrix.csv", "--skills-grid", "2,0",
-      "--out", "sw"], 2, "", "n_skills must be >= 1"),
+    # A grid value McfConfig refuses is named with its flag and token.
+    *((case, lambda root: None,
+       lambda root, flag=flag, grid=grid, field=field: _parse_grid(grid, flag, field),
+       ValidationError, [*SWEEP_ARGV, flag, grid], 2, flag, message)
+      for case, flag, grid, field, message in (
+          ("sweep zero skills", "--skills-grid", "2,0", "n_skills",
+           "--skills-grid: '0': n_skills must be >= 1"),
+          *((f"sweep q_weight {token}", "--q-weight-grid", f"1,{token}", "q_weight",
+             f"--q-weight-grid: '{token}': q_weight must be finite and >= 0")
+            for token in ("nan", "inf", "-1", "1e400")),
+      )),
     # A grid point given twice would be fitted twice and written as two equal rows.
     *((f"sweep repeated {flag[2:]}", lambda root: None,
-       lambda root, flag=flag, grid=grid, kind=kind: _parse_grid(grid, flag, kind),
+       lambda root, flag=flag, grid=grid, field=field: _parse_grid(grid, flag, field),
        ValidationError, [*SWEEP_ARGV, flag, grid], 2, flag, f"{flag}: {value} is given twice")
-      for flag, grid, kind, value in (
-          ("--skills-grid", "2,2", int, "2"), ("--q-weight-grid", "1,1.0", float, "1.0"),
+      for flag, grid, field, value in (
+          ("--skills-grid", "2,2", "n_skills", "2"), ("--q-weight-grid", "1,1.0", "q_weight", "1.0"),
       )),
     # Rejected by SimConfig before any array is allocated.
     ("oversized simulate flag", lambda root: None, lambda root: SimConfig(10**30, 3, 4, 2),
@@ -1288,6 +1366,11 @@ MALFORMED = [
     # the model id is refused on the line where it first appears.
     ("log model id with a lone surrogate", _bank_and_log(SURROGATE_RECORD), _load_log,
      ValidationError, GRADE_ARGV, 2, "log.jsonl", SURROGATE_MESSAGE),
+    # grade would write the id as a cell of scores.csv longer than csv reads back.
+    ("log model id past csv's limit", _bank_and_log(LOG_RECORD.replace("gpt", "g" * 131_073)),
+     _load_log, ValidationError, GRADE_ARGV, 2, "log.jsonl",
+     "log.jsonl:1: model id 'gggggggggggggggggggg'... holds 131,073 characters, "
+     "more than the 131,072 a CSV cell can hold"),
     # json's errors that are not a JSONDecodeError; their messages go on past the prefix.
     ("log attempt of 5,000 digits", _bank_and_log(LOG_RECORD.replace("0", "9" * 5000)),
      _load_log, FormatError, GRADE_ARGV, 2, "log.jsonl",

@@ -1,3 +1,7 @@
+import json
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from cdmkit import (
     recovery_score,
     save_sim_output,
     simulate,
+    write_json,
 )
 from cdmkit.responses import load_matrix_csv
 from cdmkit.simulate import GAMMA_ITEM, MAX_MATRIX_ELEMENTS, REPEATS, sigmoid
@@ -188,6 +193,36 @@ def test_save_sim_output_round_trips(tmp_path):
     rm = load_response_matrix(tmp_path / "scores.csv", tmp_path / "weights.csv")
     np.testing.assert_array_equal(rm.scores, sim.scores)
     np.testing.assert_array_equal(rm.weights, np.ones_like(sim.scores))
+
+
+def test_truth_json_is_json_dumps_of_the_lists_a_row_at_a_time(tmp_path, monkeypatch):
+    # 1000 x 60 x 40, 3 skills: a 1.7 MB truth.json whose widest row is 60 cells.
+    sim = simulate(SimConfig(n_items=1000, n_models=60, n_concepts=40, n_skills=3, seed=1))
+    peaks = []
+
+    def traced(path, payload):
+        tracemalloc.start()
+        try:
+            write_json(path, payload)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    # truth.json is the one file simulate writes through its own write_json.
+    monkeypatch.setattr(sys.modules["cdmkit.simulate"], "write_json", traced)
+    save_sim_output(sim, tmp_path)
+    factors = sim.true_factors
+    truth = {
+        "item_skill": factors.item_skill.tolist(),
+        "skill_model": factors.skill_model.tolist(),
+        "skill_concept": factors.skill_concept.tolist(),
+        "p_response": sim.p_response.tolist(),
+        "p_mastery": sim.p_mastery.tolist(),
+    }
+    expected = json.dumps(truth, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "truth.json").read_bytes() == expected.encode("utf-8")
+    # About one row of text is held: a matrix's tolist() alone would be over 1 MB.
+    assert len(peaks) == 1 and peaks[0] < 64 * 1024, peaks
 
 
 @pytest.mark.parametrize("n_concepts", [9, 10, 11, 101])
