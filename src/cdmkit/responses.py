@@ -345,10 +345,11 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
     header) or id.  Empty lines are skipped; a file holding only a header
     (and empty lines) loads as a ``(0, n_columns)`` array.
 
-    The header goes through ``csv.reader``; numpy's C reader parses the rest
-    of the file straight from the open file, collecting the row ids through a
-    converter on column 0.  Ids may hold any text ``csv`` can quote,
-    including ``#`` and line breaks.
+    The header goes through a strict ``csv.reader``, which refuses a quote
+    left open instead of reading the rest of the file as one cell; numpy's C
+    reader parses the rest of the file straight from the open file,
+    collecting the row ids through a converter on column 0.  Ids may hold any
+    text ``csv`` can quote, including ``#`` and line breaks.
     """
     path = Path(path)
     ids: list[str] = []
@@ -359,7 +360,10 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
 
     with open_text(path) as fh:
         # Lines come through readline, not iteration, so tell() stays usable.
-        header = next(csv.reader(iter(fh.readline, "")), None)
+        try:
+            header = next(csv.reader(iter(fh.readline, ""), strict=True), None)
+        except csv.Error as exc:
+            raise FormatError(f"{path}: {exc} in the header") from exc
         if header is None:
             raise FormatError(f"{path}: empty matrix file")
         col_ids = tuple(header[1:])

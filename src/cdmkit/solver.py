@@ -21,23 +21,26 @@ The two terms share the item factor E = item_skill, so the objective is one
 weighted NMF of the stacked matrix ``[scores | qmat]`` (collective matrix
 factorization, Singh & Gordon 2008).  Write X = scores, W = weights,
 Q = qmat, β = q_weight, λ_E = ridge_item, U = skill_model, V = skill_concept,
-``A = [W²∘X | βQ]`` and ``F = [U | V]``.  Each iteration makes two block
-updates, E and then F, and evaluates the objective for the stop rule:
+``A = [W²∘X | βQ]``, ``F = [U | V]`` and ``F_β = F∘c = [U | βV]``, where the
+column scale ``c`` holds 1 for the columns of U and β for those of V.  Each
+iteration makes two block updates, E and then F, and evaluates the objective
+for the stop rule:
 
-    E ← E ∘ (A Fᵀ) / ((W²∘EU) Uᵀ + E (βVVᵀ + λ_E I) + ε)
-    F ← F ∘ (EᵀA) / ([Eᵀ(W²∘EU) | β EᵀE V] + ridge ∘ F + ε)
+    E ← E ∘ (A Fᵀ) / ((W²∘EU) Uᵀ + E G + ε)
+    F ← F ∘ (EᵀA) / ([Eᵀ(W²∘EU) | EᵀE (βV)] + ridge ∘ F + ε)
 
-where ``ridge`` holds ``ridge_model`` for the columns of U and
-``ridge_concept`` for those of V.  The F step is exactly the separate U and
-V steps, both taken after the E step.  ``A`` and ``ridge`` are formed once
-per fit, and U and V are views into F.  Neither residual matrix is ever
-formed: expanding both squares gives the objective as
+with ``G = βVVᵀ + λ_E I``, formed from the V block of ``F_β``, and where
+``ridge`` holds ``ridge_model`` for the columns of U and ``ridge_concept``
+for those of V.  The F step is exactly the separate U and V steps, both
+taken after the E step.  ``A``, ``c`` and ``ridge`` are formed once per fit,
+and U and V are views into F.  Neither residual matrix is ever formed:
+expanding both squares gives the objective as
 
-    Σ(W²∘X∘X) + β‖Q‖² − 2⟨EᵀA, F⟩ + ⟨W²∘EU, EU⟩ + ⟨EᵀE, βVVᵀ + λ_E I⟩
-      + ⟨F, ridge ∘ F⟩
+    Σ(W²∘X∘X) + β‖Q‖² − 2⟨EᵀA, F⟩ + ⟨W²∘EU, EU⟩ + ⟨EᵀE, G⟩ + ⟨F, ridge ∘ F⟩
 
-whose ``EᵀA`` and ``EᵀE`` are the F step's, and whose ``W²∘EU`` and
-``βVVᵀ + λ_E I`` are carried into the next E step.  The first two terms are
+whose ``EᵀA`` and ``EᵀE`` are the F step's.  ``F_β``, ``G``, ``ridge ∘ F``
+and ``W²∘EU`` are formed once per iteration, after the F step, and serve
+both the objective and the next iteration's steps.  The first two terms are
 a constant of the fit, which the weighted cross term cancels just as the tag
 cross term cancels ``‖Q‖²``.  The rounding this costs stayed below 2e-14 of
 the objective computed from explicit residuals, on gate-sized worlds at 5 and
@@ -49,23 +52,27 @@ NMF (Lee & Seung 2001), as the tag block already does:
 
     (EU)Uᵀ = E(UUᵀ),   Eᵀ(EU) = (EᵀE)U,   ⟨EU, EU⟩ = ⟨EᵀE, UUᵀ⟩
 
-so that, with ``G = UUᵀ + βVVᵀ + λ_E I``,
+so that, with ``G = F_β Fᵀ + λ_E I = UUᵀ + βVVᵀ + λ_E I``,
 
     E ← E ∘ (A Fᵀ) / (E G + ε)
-    F ← F ∘ (EᵀA) / ([EᵀE U | β EᵀE V] + ridge ∘ F + ε)
+    F ← F ∘ (EᵀA) / (EᵀE F_β + ridge ∘ F + ε)
 
 and the objective is ``Σ(X∘X) + β‖Q‖² − 2⟨EᵀA, F⟩ + ⟨EᵀE, G⟩ + ⟨F, ridge ∘ F⟩``.
-Neither ``W²`` nor ``EU`` is formed: what is left of an iteration is
-``A Fᵀ``, ``EᵀA``, ``EᵀE`` and products of skills × skills or skills ×
-columns.  The weights choose the form (all exactly 1, or not), and
-:func:`objective` takes the same one, so it reproduces the trace to the last
-bit.  The two forms differ only by rounding: on the bench's simulated
-worlds, each start and sweep point ran the same iterations in both, and
-their traces agreed within 3.3e-14 relative.  On the bench's 3000 × 120 ×
-300 world at 16 skills (2-core box, numpy 2.4 with OpenBLAS, traced
-``solver.us_per_iter``), an iteration took 4457 µs in the weighted form and
-2416 µs in the Gram form; ``A Fᵀ`` and ``EᵀA``, one pass each over the
-10 MB ``A``, are about 70% of what is left.
+Neither ``W²`` nor ``EU`` is formed: an iteration is six matrix products,
+``A Fᵀ``, ``EᵀA``, ``EᵀE``, ``E G``, ``EᵀE F_β`` and ``F_β Fᵀ``, and 21 numpy
+calls in all; the E step's ``+ ε``, ratio and product run in place.  The
+weights choose the form (all exactly 1, or not), and :func:`objective` takes
+the same one through the same helper, so it reproduces the trace to the last
+bit.  The two forms differ only by rounding: on the bench's ``gate``
+worlds (seed 1), each start and sweep point ran the same iterations in both,
+and their traces agreed within 3.8e-14 relative.
+
+Traced ``solver.us_per_iter`` (2-core box, numpy 2.4 with OpenBLAS, medians
+of 6–7 bench runs of 10 s), before and after each product was formed once:
+94.8 → 86.2 µs on the bench's ``gate`` worlds (210 × 30 × 70, 5 skills),
+where per-call overhead sets the time, and 2237 → 2120 µs on its 3000 ×
+120 × 300 world at 16 skills, where ``A Fᵀ`` and ``EᵀA``, one pass each over
+the 10 MB ``A``, are most of an iteration.
 
 The stop rule: a fit stops, ``converged``, after the first iteration whose
 objective falls by less than ``tol`` times the previous objective, and
@@ -273,14 +280,19 @@ def _stack(
     weights: NDArray[np.float64],
     qmat: NDArray[np.float64],
     config: McfConfig,
-) -> tuple[NDArray[np.float64] | None, NDArray[np.float64], NDArray[np.float64], float]:
-    """The fixed parts of the stacked problem: ``W²``, ``A``, the ridge row, the constant.
+) -> tuple[
+    NDArray[np.float64] | None, NDArray[np.float64], NDArray[np.float64],
+    NDArray[np.float64], float,
+]:
+    """The fixed parts of the stacked problem: ``W²``, ``A``, the ridge row,
+    the column scale and the constant.
 
-    ``A = [W²∘X | βQ]`` is the target of ``F = [U | V]``, the ridge row holds
-    ``ridge_model`` for every column of U and ``ridge_concept`` for every
-    column of V, and the constant is ``Σ(W²∘X∘X) + β‖Q‖²``.  When every
-    weight is 1, ``W²`` is None, which selects the Gram form, and ``A`` holds
-    X itself: the numbers ``1∘X`` would give.
+    ``A = [W²∘X | βQ]`` is the target of ``F = [U | V]``.  The ridge row
+    holds ``ridge_model`` for every column of U and ``ridge_concept`` for
+    every column of V, the column scale ``c`` holds 1 and β in the same
+    places, and the constant is ``Σ(W²∘X∘X) + β‖Q‖²``.  When every weight is
+    1, ``W²`` is None, which selects the Gram form, and ``A`` holds X itself:
+    the numbers ``1∘X`` would give.
     """
     n = scores.shape[1]
     # (weights == 1).all() rather than min() == 1: objective() takes any weights.
@@ -293,62 +305,69 @@ def _stack(
     else:
         np.multiply(w2, scores, out=w2x)
     np.multiply(config.q_weight, qmat, out=a[:, n:])
-    ridge = np.repeat(
-        (config.ridge_model, config.ridge_concept), (scores.shape[1], qmat.shape[1])
-    )
+    blocks = (n, qmat.shape[1])
+    ridge = np.repeat((config.ridge_model, config.ridge_concept), blocks)
+    scale = np.repeat((1.0, config.q_weight), blocks)
     const = float(np.vdot(w2x, scores)) + config.q_weight * float(np.vdot(qmat, qmat))
-    return w2, a, ridge, const
+    return w2, a, ridge, scale, const
 
 
-def _gram(
-    u: NDArray[np.float64],
-    v: NDArray[np.float64],
-    beta: float,
+def _products(
+    e: NDArray[np.float64],
+    f: NDArray[np.float64],
+    scale: NDArray[np.float64],
+    ridge: NDArray[np.float64],
     ridge_eye: NDArray[np.float64],
-    unweighted: bool,
-) -> NDArray[np.float64]:
-    """``βVVᵀ + λ_E I``, plus ``UUᵀ`` in the Gram form."""
-    gram = beta * (v @ v.T) + ridge_eye
-    if unweighted:
-        gram += u @ u.T
-    return gram
+    w2: NDArray[np.float64] | None,
+) -> tuple[
+    NDArray[np.float64], NDArray[np.float64], NDArray[np.float64],
+    NDArray[np.float64] | None, float,
+]:
+    """What the loss and the next step take from (E, F): ``F_β = F∘c``,
+    ``ridge∘F``, ``G``, ``W²∘EU`` and ``⟨W²∘EU, EU⟩``.
 
-
-def _score_fit(
-    e: NDArray[np.float64], u: NDArray[np.float64], w2: NDArray[np.float64] | None
-) -> tuple[NDArray[np.float64] | None, float]:
-    """``W²∘EU`` and ``⟨W²∘EU, EU⟩``; ``(None, 0.0)`` in the Gram form, whose
-    ``gram`` carries ``UUᵀ`` in their place."""
+    In the Gram form ``G = F_β Fᵀ + λ_E I`` and the last two are
+    ``(None, 0.0)``, since ``G`` carries ``UUᵀ`` in their place.  In the
+    weighted form ``G = βVVᵀ + λ_E I``, from the V block of ``F_β``.
+    """
+    fb = f * scale
+    rf = ridge * f
     if w2 is None:
-        return None, 0.0
-    eu = e @ u
-    w2eu = w2 * eu
-    return w2eu, float(np.vdot(w2eu, eu))
+        gram = fb @ f.T
+        w2eu, score_fit = None, 0.0
+    else:
+        n = w2.shape[1]
+        gram = fb[:, n:] @ f[:, n:].T
+        eu = e @ f[:, :n]
+        w2eu = w2 * eu
+        score_fit = float(np.vdot(w2eu, eu))
+    gram += ridge_eye
+    return fb, rf, gram, w2eu, score_fit
 
 
 def _loss(
     const: float,
     eta: NDArray[np.float64],
     f: NDArray[np.float64],
-    ridge: NDArray[np.float64],
+    rf: NDArray[np.float64],
     score_fit: float,
     ete: NDArray[np.float64],
     gram: NDArray[np.float64],
 ) -> float:
     """The objective from the products a multiplicative step already holds.
 
-    ``eta = EᵀA``, ``score_fit = ⟨W²∘EU, EU⟩``, ``ete = EᵀE`` and
-    ``gram = βVVᵀ + λ_E I``.  Expanding both squared residuals gives
-    ``const − 2⟨EᵀA, F⟩ + ⟨W²∘EU, EU⟩ + ⟨EᵀE, βVVᵀ + λ_E I⟩ + ⟨F, ridge∘F⟩``.
-    In the Gram form ``score_fit`` is 0 and ``gram`` adds ``UUᵀ``, since
-    there ``⟨EU, EU⟩ = ⟨EᵀE, UUᵀ⟩``.
+    ``eta = EᵀA``, ``rf = ridge∘F``, ``score_fit = ⟨W²∘EU, EU⟩``,
+    ``ete = EᵀE`` and ``gram = βVVᵀ + λ_E I``.  Expanding both squared
+    residuals gives ``const − 2⟨EᵀA, F⟩ + ⟨W²∘EU, EU⟩ + ⟨EᵀE, βVVᵀ + λ_E I⟩
+    + ⟨F, ridge∘F⟩``.  In the Gram form ``score_fit`` is 0 and ``gram`` adds
+    ``UUᵀ``, since there ``⟨EU, EU⟩ = ⟨EᵀE, UUᵀ⟩``.
     """
     return float(
         const
         - 2.0 * np.vdot(eta, f)
         + score_fit
         + np.vdot(ete, gram)
-        + np.vdot(f, ridge * f)
+        + np.vdot(f, rf)
     )
 
 
@@ -362,11 +381,12 @@ def objective(
     """The fitted loss, computed in double precision by the kernel ``fit`` uses."""
     _check_problem(scores, weights, qmat)
     e, u, v = factors.item_skill, factors.skill_model, factors.skill_concept
-    w2, a, ridge, const = _stack(scores, weights, qmat, config)
-    gram = _gram(u, v, config.q_weight, config.ridge_item * np.eye(len(v)), w2 is None)
+    w2, a, ridge, scale, const = _stack(scores, weights, qmat, config)
     f = np.concatenate((u, v), axis=1)
-    _, score_fit = _score_fit(e, u, w2)
-    return _loss(const, e.T @ a, f, ridge, score_fit, e.T @ e, gram)
+    _, rf, gram, _, score_fit = _products(
+        e, f, scale, ridge, config.ridge_item * np.eye(len(f)), w2
+    )
+    return _loss(const, e.T @ a, f, rf, score_fit, e.T @ e, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +431,7 @@ def fit(
         raise ValidationError("all weights are zero: nothing observed")
 
     n_items, n_models = scores.shape
-    beta = config.q_weight
-    w2, a, ridge, const = _stack(scores, weights, qmat, config)
+    w2, a, ridge, scale, const = _stack(scores, weights, qmat, config)
 
     e0, u0, v0 = _init_factors(n_items, n_models, qmat.shape[1], config)
     # E and F = [U | V] are views into one buffer, so the runtime check below
@@ -421,25 +440,30 @@ def fit(
     e = x[: e0.size].reshape(e0.shape)
     f = x[e0.size :].reshape(len(u0), -1)
     u, v = f[:, :n_models], f[:, n_models:]
-    ridge_eye = config.ridge_item * np.eye(len(v))
+    ridge_eye = config.ridge_item * np.eye(len(f))
 
-    unweighted = w2 is None
-    # At the top of every iteration w2eu = W²∘EU and gram = βVVᵀ + λ_E I;
-    # in the Gram form w2eu is None and gram adds UUᵀ.
-    w2eu, score_fit = _score_fit(e, u, w2)
-    gram = _gram(u, v, beta, ridge_eye, unweighted)
-    trace = [_loss(const, e.T @ a, f, ridge, score_fit, e.T @ e, gram)]
+    # At the top of every iteration these are the _products of E and F.
+    fb, rf, gram, w2eu, score_fit = _products(e, f, scale, ridge, ridge_eye, w2)
+    trace = [_loss(const, e.T @ a, f, rf, score_fit, e.T @ e, gram)]
     converged = False
     for it in range(config.max_iters):
-        den = e @ gram if unweighted else w2eu @ u.T + e @ gram
-        e *= (a @ f.T) / (den + EPSILON)
+        den = e @ gram
+        if w2 is not None:
+            den += w2eu @ u.T
+        den += EPSILON
+        ratio = a @ f.T
+        ratio /= den
+        e *= ratio
         eta = e.T @ a
         ete = e.T @ e
-        den_u = ete @ u if unweighted else e.T @ (w2 * (e @ u))
-        den = np.concatenate((den_u, (beta * ete) @ v), axis=1)
-        den += ridge * f
+        if w2 is None:
+            den = ete @ fb
+        else:
+            den = np.concatenate((e.T @ (w2 * (e @ u)), ete @ fb[:, n_models:]), axis=1)
+        den += rf
         den += EPSILON
-        f *= eta / den
+        np.divide(eta, den, out=den)
+        f *= den
         # min >= 0 fails on NaN and max < inf on +inf, so this passes only
         # finite, non-negative factors; the loop below names what failed.
         if not (x.min() >= 0 and x.max() < math.inf):
@@ -448,9 +472,8 @@ def fit(
                     raise NumericalError(f"non-finite {name} factor at iteration {it}")
                 if m.size and m.min() < 0:
                     raise NumericalError(f"negative {name} factor at iteration {it}")
-        w2eu, score_fit = _score_fit(e, u, w2)
-        gram = _gram(u, v, beta, ridge_eye, unweighted)
-        val = _loss(const, eta, f, ridge, score_fit, ete, gram)
+        fb, rf, gram, w2eu, score_fit = _products(e, f, scale, ridge, ridge_eye, w2)
+        val = _loss(const, eta, f, rf, score_fit, ete, gram)
         trace.append(val)
         if trace[-2] - val < config.tol * abs(trace[-2]):
             converged = True

@@ -1159,6 +1159,10 @@ MALFORMED = [
                  "scores.csv"),
      _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
      "scores.csv: field larger than field limit (131072)"),
+    # Read loosely, the open quote would take the rest of the file as one cell.
+    ("header with an open quote", _write("scores.csv", 'item_id,"m0,m1\nq0,1,0\nq1,0,1\n'),
+     _load_scores, FormatError, FIT_ARGV, 2, "scores.csv",
+     "scores.csv: unexpected end of data in the header"),
     ("header-only scores", _edit_lines(lambda ls: ls[:1], "scores.csv", "weights.csv"),
      _load_fit_files, FormatError, FIT_ARGV, 2, "scores.csv", "scores.csv: no data rows"),
     # Q-matrix rules name the Q-matrix file, in fit and in sweep.

@@ -347,7 +347,7 @@ def test_unweighted_fit_objective_matches_direct_residuals_on_dense_problem():
 
 
 @pytest.mark.parametrize("all_ones_weights", [False, True])
-@pytest.mark.parametrize("q_weight", [1.0, 0.3])
+@pytest.mark.parametrize("q_weight", [1.0, 0.3, 0.0, 5.0])
 def test_objective_equals_the_last_trace_value(all_ones_weights, q_weight):
     # objective() takes the same path as fit, weighted or Gram form, so it
     # reproduces the trace's last value to the last bit.
@@ -360,16 +360,18 @@ def test_objective_equals_the_last_trace_value(all_ones_weights, q_weight):
     assert objective(res.factors, scores, weights, qmat, cfg) == res.objective
 
 
-def test_gram_form_agrees_with_the_weighted_path():
+@pytest.mark.parametrize("q_weight", [1.0, 0.3])
+def test_gram_form_agrees_with_the_weighted_path(q_weight):
     # One weight nudged to the largest double below 1 forces the weighted
     # path on otherwise all-ones weights; the two paths differ by rounding only.
+    # A q_weight other than 1 checks that both scale the concept columns alike.
     rng = np.random.default_rng(22)
     scores = rng.random((60, 15))
     qmat = (rng.random((60, 20)) < 0.3).astype(float)
     ones = np.ones_like(scores)
     nudged = ones.copy()
     nudged[7, 3] = 1 - 2.0**-53
-    cfg = McfConfig(n_skills=4, max_iters=500, seed=6)
+    cfg = McfConfig(n_skills=4, q_weight=q_weight, max_iters=500, seed=6)
     assert _stack(scores, ones, qmat, cfg)[0] is None
     assert _stack(scores, nudged, qmat, cfg)[0] is not None
     gram_form, weighted = fit(scores, ones, qmat, cfg), fit(scores, nudged, qmat, cfg)
