@@ -26,8 +26,6 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bank import load_item_bank
 from .errors import (
@@ -38,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .heatmap import render_svg
-from .manifest import checked_ids, naming, open_text, read_json, write_json, write_manifest
+from .manifest import check_cells, checked_ids, naming, open_text, read_json, write_json, write_manifest
 from .metrics import (
     DISTANCES,
     cluster_models,
@@ -235,6 +233,10 @@ def _load_fit_inputs(eff: dict):
     matrix = load_response_matrix(eff["scores"], eff["weights"])
     if not matrix.n_items:
         raise FormatError(f"{eff['scores']}: no data rows")
+    if not matrix.n_models:
+        raise FormatError(f"{eff['scores']}: no model columns")
+    if not matrix.weights.any():
+        raise ValidationError(f"{eff['weights']}: every weight is 0, so no cell is observed")
     qmat, q_item_ids, concept_ids = load_matrix_csv(eff["qmatrix"])
     if qmat.shape[0] != matrix.scores.shape[0]:
         raise DimensionError(
@@ -249,13 +251,8 @@ def _load_fit_inputs(eff: dict):
         raise FormatError(f"{eff['qmatrix']}: no concept columns")
     with naming(eff["qmatrix"]):
         checked_ids(concept_ids, "concept")
-    bad = np.argwhere((qmat != 0) & (qmat != 1))
-    if bad.size:
-        i, k = bad[0]
-        raise ValidationError(
-            f"{eff['qmatrix']}: row {q_item_ids[i]!r}, column {concept_ids[k]!r} holds "
-            f"{float(qmat[i, k])!r}; Q-matrix cells must be 0 or 1"
-        )
+    check_cells(eff["qmatrix"], qmat, (qmat == 0) | (qmat == 1), "Q-matrix cells must be 0 or 1",
+                q_item_ids, concept_ids)
     for what, ids, cells in (("concept(s) tagged by no item", concept_ids, qmat),
                              ("model(s) observed in no cell", matrix.model_ids, matrix.weights)):
         missing = [i for i, seen in zip(ids, cells.any(axis=0)) if not seen]

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NumericalError, ValidationError
+from .manifest import check_cells
 
 log = logging.getLogger(__name__)
 
@@ -125,8 +126,8 @@ def infer_profiles(
     Returns (profiles n_models x K, posteriors 2^K x n_models, tie flags).
     """
     responses = np.asarray(responses, dtype=np.float64)
-    if not np.all((responses == 0) | (responses == 1)):
-        raise ValidationError("responses must be binary")
+    check_cells("responses", responses, (responses == 0) | (responses == 1),
+                "values must be binary (0 or 1)")
     profiles = enumerate_profiles(qmat.shape[1])
     gate = _gate_table(profiles, qmat)
     post = _posterior_from_loglik(_loglik(responses, gate, params))
@@ -163,8 +164,8 @@ def em_fit(
         raise ValidationError(
             f"responses rows {responses.shape[0]} != qmat rows {qmat.shape[0]}"
         )
-    if not np.all((responses == 0) | (responses == 1)):
-        raise ValidationError("responses must be binary")
+    check_cells("responses", responses, (responses == 0) | (responses == 1),
+                "values must be binary (0 or 1)")
     n_items = responses.shape[0]
     profiles = enumerate_profiles(qmat.shape[1])
     gate = _gate_table(profiles, qmat)

@@ -24,10 +24,10 @@ from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 from types import GeneratorType
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from . import __version__
-from .errors import FormatError, ValidationError
+from .errors import CdmError, FormatError, ValidationError
 
 MANIFEST_NAME = "manifest.json"
 
@@ -225,6 +225,22 @@ def checked_ids(ids: Iterable[str], kind: str) -> tuple[str, ...]:
         raise ValidationError(f"{kind} id {long_id[:20]!r}... holds {len(long_id):,} "
                               f"characters, more than the {MAX_ID_LENGTH:,} a CSV cell can hold")
     return ids
+
+
+def check_cells(name: str | Path, values, ok, rule: str, row_ids: Sequence | None = None,
+                col_ids: Sequence | None = None, error: type[CdmError] = ValidationError) -> None:
+    """Nothing if every cell of the 2-D mask ``ok`` is True; otherwise an
+    ``error`` naming the first False cell in row order, as ``"<name>: row <id>,
+    column <id> holds <value>; <rule>"`` with ``values``' cell there.  Ids are
+    ``row_ids`` and ``col_ids``, or 0-based indices where not given.  The one
+    test of a matrix cell against a rule; each caller builds its own mask."""
+    if ok.all():
+        return
+    cell = int(ok.argmin())  # the first False, since False < True
+    i, j = divmod(cell, ok.shape[1])
+    row = i if row_ids is None else row_ids[i]
+    col = j if col_ids is None else col_ids[j]
+    raise error(f"{name}: row {row!r}, column {col!r} holds {values.item(cell)!r}; {rule}")
 
 
 @contextmanager

@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .bank import ItemBank
 from .errors import DimensionError, FormatError, ValidationError
 from .grading import checked_key, grade, mark
-from .manifest import checked_ids, first_duplicate, naming, open_text
+from .manifest import check_cells, checked_ids, first_duplicate, naming, open_text
 
 DEFAULT_REPEATS = 10
 
@@ -147,13 +147,11 @@ class ResponseMatrix:
             raise DimensionError(
                 f"matrix {s.shape} vs ids ({len(self.item_ids)}, {len(self.model_ids)})"
             )
+        ids = (self.item_ids, self.model_ids)
         for name, m in (("scores", s), ("weights", w)):
-            if not np.isfinite(m).all():
-                raise ValidationError(f"{name} must be finite")
-            if m.size and (m.min() < 0 or m.max() > 1):
-                raise ValidationError(f"{name} outside [0, 1]")
-        if np.any(s[w == 0] != 0):
-            raise ValidationError("unobserved cells (weight 0) must carry score 0")
+            check_cells(name, m, (m >= 0) & (m <= 1), "values must lie in [0, 1]", *ids)
+        check_cells("scores", s, (s == 0) | (w != 0),
+                    "unobserved cells (weight 0) must carry score 0", *ids)
 
     @property
     def n_items(self) -> int:
@@ -405,13 +403,8 @@ def load_matrix_csv(path: str | Path) -> tuple[NDArray[np.float64], tuple[str, .
     if dup is not None:
         raise FormatError(f"{path}: duplicate row id {dup!r}")
     values = np.ascontiguousarray(table[:, 1:])
-    finite = np.isfinite(values)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise FormatError(
-            f"{path}: row {row_ids[i]!r}, column {col_ids[j]!r} holds "
-            f"{float(values[i, j])!r}; matrix values must be finite"
-        )
+    check_cells(path, values, np.isfinite(values), "matrix values must be finite",
+                row_ids, col_ids, FormatError)
     return values, row_ids, col_ids
 
 

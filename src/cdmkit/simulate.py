@@ -30,10 +30,10 @@ from numpy.typing import NDArray
 
 from .bank import write_bank_json
 from .errors import DegenerateDataError, ValidationError
-from .manifest import NumberRows, write_json
+from .manifest import NumberRows, check_cells, write_json
 from .metrics import average_ranks
 from .responses import save_matrix_csv
-from .solver import FactorSet, MasteryMatrix, _default_ids
+from .solver import MAX_MATRIX_ELEMENTS, FactorSet, MasteryMatrix, _default_ids
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +43,6 @@ GAMMA_CONCEPT = (0.2, 0.16)
 TAG_THRESHOLD = 0.92
 REPEATS = 10
 _MAX_RESAMPLES = 1000
-# Every pair of the four sizes spans a matrix the simulator allocates: the
-# three factors, the scores, the tags and the planted mastery.  1e8 float64
-# entries are 800 MB.
-MAX_MATRIX_ELEMENTS = 10**8
 
 
 def sigmoid(z: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -97,10 +93,9 @@ class SimOutput:
         # Sigmoids of large non-negative products round to exactly 1.0 in
         # float64, so the closed interval is the honest bound here.
         for name, p in (("p_response", self.p_response), ("p_mastery", self.p_mastery)):
-            if p.size and (p.min() < 0 or p.max() > 1):
-                raise ValidationError(f"{name} must lie in [0, 1]")
-        if not np.all((self.qmat == 0) | (self.qmat == 1)):
-            raise ValidationError("qmat must be binary")
+            check_cells(name, p, (p >= 0) & (p <= 1), "values must lie in [0, 1]")
+        check_cells("qmat", self.qmat, (self.qmat == 0) | (self.qmat == 1),
+                    "values must be binary (0 or 1)")
         if self.qmat.size and self.qmat.sum(axis=1).min() < 1:
             raise ValidationError("qmat has an all-zero row")
 

@@ -123,7 +123,7 @@ from numpy.typing import NDArray
 
 from .errors import DimensionError, NumericalError, ValidationError
 from .manifest import (
-    NumberRows, check_format_version, checked_ids, naming, read_json, write_json,
+    NumberRows, check_cells, check_format_version, checked_ids, naming, read_json, write_json,
 )
 from .responses import cell_text, load_matrix_csv, matrix_csv_writer, save_matrix_csv
 
@@ -134,6 +134,10 @@ EPSILON = 1e-12
 
 # The mastery bundle's format; every bundle save_mastery has written carries 1.
 MASTERY_FORMAT_VERSION = 1
+
+# The most entries one matrix that fit or simulate allocates may hold, checked
+# before it is allocated: 1e8 float64 entries are 800 MB.
+MAX_MATRIX_ELEMENTS = 10**8
 
 
 @dataclass(frozen=True)
@@ -180,10 +184,8 @@ class FactorSet:
                 f"skill axes disagree: {e.shape}, {u.shape}, {v.shape}"
             )
         for name, m in (("item_skill", e), ("skill_model", u), ("skill_concept", v)):
-            if not np.isfinite(m).all():
-                raise NumericalError(f"{name} contains NaN/Inf")
-            if m.size and m.min() < 0:
-                raise ValidationError(f"{name} has negative entries")
+            check_cells(name, m, np.isfinite(m), "factors must be finite", error=NumericalError)
+            check_cells(name, m, m >= 0, "factors must be >= 0")
 
     @property
     def n_items(self) -> int:
@@ -241,11 +243,10 @@ class MasteryMatrix:
             raise DimensionError("raw/prob shape mismatch")
         if self.raw.shape != (len(self.model_ids), len(self.concept_ids)):
             raise DimensionError("mastery shape does not match id lists")
-        for name, m in (("raw", self.raw), ("prob", self.prob)):
-            if not np.isfinite(m).all():
-                raise ValidationError(f"mastery {name} entries must be finite")
-        if self.prob.size and (self.prob.min() < 0 or self.prob.max() > 1):
-            raise ValidationError("prob entries outside [0, 1]")
+        ids = (self.model_ids, self.concept_ids)
+        check_cells("raw", self.raw, np.isfinite(self.raw), "values must be finite", *ids)
+        check_cells("prob", self.prob, (self.prob >= 0) & (self.prob <= 1),
+                    "values must lie in [0, 1]", *ids)
 
     @property
     def n_models(self) -> int:
@@ -421,16 +422,20 @@ def fit(
     weights = np.asarray(weights, dtype=np.float64)
     qmat = np.asarray(qmat, dtype=np.float64)
     _check_problem(scores, weights, qmat)
+    n_items, n_models = scores.shape
+    t = config.n_skills
+    for rows, cols in ((n_items, t), (t, n_models + qmat.shape[1]), (t, t)):
+        if rows * cols > MAX_MATRIX_ELEMENTS:
+            raise ValidationError(
+                f"n_skills {t:,} makes a {rows:,} x {cols:,} matrix, more than the "
+                f"{MAX_MATRIX_ELEMENTS:,} elements one matrix may hold"
+            )
     for name, m in (("scores", scores), ("weights", weights)):
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if m.size and not (m.min() >= 0 and m.max() <= 1):
-            raise ValidationError(f"{name} must be finite and within [0, 1]")
-    if not np.all((qmat == 0) | (qmat == 1)):
-        raise ValidationError("qmat must be binary")
+        check_cells(name, m, (m >= 0) & (m <= 1), "values must lie in [0, 1]")
+    check_cells("qmat", qmat, (qmat == 0) | (qmat == 1), "values must be binary (0 or 1)")
     if not np.any(weights > 0):
         raise ValidationError("all weights are zero: nothing observed")
 
-    n_items, n_models = scores.shape
     w2, a, ridge, scale, const = _stack(scores, weights, qmat, config)
 
     e0, u0, v0 = _init_factors(n_items, n_models, qmat.shape[1], config)
@@ -468,10 +473,9 @@ def fit(
         # finite, non-negative factors; the loop below names what failed.
         if not (x.min() >= 0 and x.max() < math.inf):
             for name, m in (("item", e), ("model", u), ("concept", v)):
-                if not np.isfinite(m).all():
-                    raise NumericalError(f"non-finite {name} factor at iteration {it}")
-                if m.size and m.min() < 0:
-                    raise NumericalError(f"negative {name} factor at iteration {it}")
+                where = f"{name} factor at iteration {it}"
+                check_cells(where, m, np.isfinite(m), "factors must be finite", error=NumericalError)
+                check_cells(where, m, m >= 0, "factors must be >= 0", error=NumericalError)
         fb, rf, gram, w2eu, score_fit = _products(e, f, scale, ridge, ridge_eye, w2)
         val = _loss(const, eta, f, rf, score_fit, ete, gram)
         trace.append(val)

@@ -27,7 +27,7 @@ from cdmkit.responses import (
     aggregate, load_matrix_csv, load_response_logs, load_response_matrix, save_matrix_csv,
 )
 from cdmkit.simulate import SimConfig, recovery_score, simulate
-from cdmkit.solver import MasteryMatrix, McfConfig, load_mastery, save_mastery
+from cdmkit.solver import MasteryMatrix, McfConfig, fit, load_mastery, save_mastery
 
 SIM_ARGS = [
     "simulate", "--items", "12", "--models", "5", "--concepts", "6",
@@ -1173,12 +1173,33 @@ MALFORMED = [
     ("qmatrix cell 2", _edit_lines(_set_cell(2, 1, "2"), "qmatrix.csv"), _load_fit_files,
      ValidationError, SWEEP_ARGV, 2, "qmatrix.csv",
      "qmatrix.csv: row 'q1', column 'c0' holds 2.0; Q-matrix cells must be 0 or 1"),
+    # Inputs that leave nothing to fit: fit and sweep name the file before --out exists.
+    *((f"{argv[0]} {case}", _edit_lines(edit, "scores.csv", "weights.csv"), _load_fit_files,
+       error, argv, 2, name, f"{name}: {message}")
+      for argv in (FIT_ARGV, [*SWEEP_ARGV, "--weights", "weights.csv"])
+      for case, edit, error, name, message in (
+          ("scores without model columns", lambda ls: [line.split(",")[0] for line in ls],
+           FormatError, "scores.csv", "no model columns"),
+          ("weights all 0", lambda ls: ls[:1] + [line.split(",")[0] + ",0.0" * 6 for line in ls[1:]],
+           ValidationError, "weights.csv", "every weight is 0, so no cell is observed"),
+      )),
+    # fit refuses a skill count whose matrices would pass the cap before it
+    # allocates them: at 2 items, 50,000,001 skills make an 800 MB item factor.
+    *((f"{argv[0]} n_skills past the matrix cap",
+       _edit_lines(lambda ls: ls[:3], "scores.csv", "weights.csv", "qmatrix.csv"),
+       lambda root: fit(np.ones((2, 6)), np.ones((2, 6)), np.ones((2, 4)),
+                        McfConfig(n_skills=50_000_001)),
+       ValidationError, argv, 2, "n_skills",
+       "n_skills 50,000,001 makes a 2 x 50,000,001 matrix, more than the 100,000,000 "
+       "elements one matrix may hold")
+      for argv in ([*FIT_ARGV, "--skills", "50000001"], [*SWEEP_ARGV, "--skills-grid", "50000001"])),
     ("mastery missing a field", _edit_mastery(lambda p: p.pop("model_ids")),
      lambda root: load_mastery(root / "mastery.json"),
      ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "missing field 'model_ids'"),
     ("mastery nan raw", _edit_mastery(lambda p: p["raw"][1].__setitem__(2, float("nan"))),
      lambda root: load_mastery(root / "mastery.json"),
-     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", "mastery raw entries must be finite"),
+     ValidationError, DIAGNOSE_ARGV, 2, "mastery.json",
+     "mastery.json: raw: row 'm1', column 'c2' holds nan; values must be finite"),
     # Mastery ids are lists of distinct strings and cells are JSON numbers.
     *((f"mastery {case}", _edit_mastery(edit), lambda root: load_mastery(root / "mastery.json"),
        ValidationError, DIAGNOSE_ARGV, 2, "mastery.json", f"mastery.json: {message}")
@@ -1258,9 +1279,10 @@ MALFORMED = [
        lambda root: load_response_matrix(root / "scores.csv", root / "weights.csv"),
        error, FIT_ARGV, 2, "scores.csv", f"weights.csv: {message}")
       for case, name, row, col, text, error, message in (
-          ("score 1.5", "scores.csv", 3, 2, "1.5", ValidationError, "scores outside [0, 1]"),
+          ("score 1.5", "scores.csv", 3, 2, "1.5", ValidationError,
+           "scores: row 'q2', column 'm1' holds 1.5; values must lie in [0, 1]"),
           ("weight 0 under a score 1", "weights.csv", 1, 3, "0.0", ValidationError,
-           "unobserved cells (weight 0) must carry score 0"),
+           "scores: row 'q0', column 'm2' holds 1.0; unobserved cells (weight 0) must carry score 0"),
           ("weights row id not in scores", "weights.csv", 2, 0, "qx", DimensionError,
            "weights CSV ids do not match scores CSV ids"),
       )),

@@ -56,7 +56,9 @@ def test_grid_validation():
     # The heatmap draws a MasteryMatrix, which checks its ids, shape and scale.
     with pytest.raises(DimensionError):
         _mastery(np.zeros((2, 2)), model_ids=("m0",))
-    with pytest.raises(ValidationError, match=re.escape("prob entries outside [0, 1]")):
+    with pytest.raises(ValidationError, match=re.escape(
+        "prob: row 'm0', column 'c0' holds 1.5; values must lie in [0, 1]"
+    )):
         _mastery(np.array([[1.5]]))
 
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cdmkit import ValidationError, write_json
-from cdmkit.manifest import NumberRows, checked_ids, first_duplicate
+from cdmkit import FormatError, NumericalError, ValidationError, write_json
+from cdmkit.manifest import NumberRows, check_cells, checked_ids, first_duplicate
 from oracles import xml_char
 
 # Strings that json escapes: quotes, backslashes, control characters,
@@ -226,3 +226,53 @@ def test_checked_ids_matches_the_xml_char_oracle(ids):
     with pytest.raises(ValidationError) as caught:
         checked_ids(iter(ids), "model")
     assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# check_cells: the first bad cell in row order, by its ids and its value
+# ---------------------------------------------------------------------------
+
+_BAD_CELLS = [math.nan, math.inf, -math.inf, -5e-324, -1.0, 1.0000000000000002, 1.5, 1e308]
+
+
+@st.composite
+def _planted_matrices(draw):
+    """A matrix of cells in [0, 1] of any shape, 0 rows or 0 columns too, with
+    up to four bad cells planted; its row and column ids, or None for indices."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    cells = draw(st.lists(st.floats(0, 1), min_size=rows * cols, max_size=rows * cols))
+    values = np.array(cells, dtype=np.float64).reshape(rows, cols)
+    if values.size:
+        for index, bad in draw(st.lists(st.tuples(st.integers(0, values.size - 1),
+                                                  st.sampled_from(_BAD_CELLS)), max_size=4)):
+            values.flat[index] = bad
+    def ids(n):
+        return draw(st.none() | st.lists(st.text(max_size=3), unique=True,
+                                         min_size=n, max_size=n).map(tuple))
+
+    return values, ids(rows), ids(cols)
+
+
+@settings(max_examples=300, deadline=None)
+@example((np.array([[0.5, np.nan], [2.0, 0.0]]), ("q0", "q1"), ("m0", "m1")), ValidationError)
+@example((np.empty((0, 3)), None, None), ValidationError)
+@example((np.empty((4, 0)), None, None), ValidationError)
+@given(_planted_matrices(), st.sampled_from([ValidationError, FormatError, NumericalError]))
+def test_check_cells_names_the_first_bad_cell(case, error):
+    values, row_ids, col_ids = case
+    rule = "values must lie in [0, 1]"
+    bad = [(i, j) for i in range(values.shape[0]) for j in range(values.shape[1])
+           if not 0 <= values[i, j] <= 1]
+    args = ("scores.csv", values, (values >= 0) & (values <= 1), rule, row_ids, col_ids, error)
+    if not bad:
+        assert check_cells(*args) is None
+        return
+    i, j = bad[0]
+    row = i if row_ids is None else row_ids[i]
+    col = j if col_ids is None else col_ids[j]
+    with pytest.raises(error) as caught:
+        check_cells(*args)
+    assert type(caught.value) is error
+    assert str(caught.value) == (
+        f"scores.csv: row {row!r}, column {col!r} holds {float(values[i, j])!r}; {rule}"
+    )

@@ -408,14 +408,16 @@ def test_load_without_weights_defaults_to_ones(tmp_path):
 def test_matrix_validation():
     with pytest.raises(DimensionError):
         ResponseMatrix(np.zeros((2, 2)), np.zeros((2, 3)), ("a", "b"), ("x", "y"))
-    with pytest.raises(ValidationError, match="outside"):
-        ResponseMatrix(np.array([[1.5]]), np.array([[1.0]]), ("a",), ("x",))
-    with pytest.raises(ValidationError, match="scores must be finite"):
-        ResponseMatrix(np.array([[np.nan]]), np.array([[1.0]]), ("a",), ("x",))
-    with pytest.raises(ValidationError, match="weights must be finite"):
-        ResponseMatrix(np.array([[0.5]]), np.array([[np.nan]]), ("a",), ("x",))
-    with pytest.raises(ValidationError, match="weight 0"):
-        ResponseMatrix(np.array([[0.5]]), np.array([[0.0]]), ("a",), ("x",))
+    # The in-[0, 1] rule refuses NaN too, which fails both comparisons.
+    for scores, weights, message in (
+        ([[1.5]], [[1.0]], "scores: row 'a', column 'x' holds 1.5; values must lie in [0, 1]"),
+        ([[np.nan]], [[1.0]], "scores: row 'a', column 'x' holds nan; values must lie in [0, 1]"),
+        ([[0.5]], [[np.nan]], "weights: row 'a', column 'x' holds nan; values must lie in [0, 1]"),
+        ([[0.5]], [[0.0]],
+         "scores: row 'a', column 'x' holds 0.5; unobserved cells (weight 0) must carry score 0"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ResponseMatrix(np.array(scores), np.array(weights), ("a",), ("x",))
 
 
 @pytest.mark.parametrize("text", ["id,a\r\n", "id,a\r\n\r\n", "id,a\n\n\n"])

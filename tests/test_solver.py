@@ -403,10 +403,11 @@ def _fit_from_a_start_with(monkeypatch, factor, value):
 
 @pytest.mark.parametrize("factor", [0, 1, 2], ids=["item", "model", "concept"])
 def test_fit_stops_on_a_non_finite_factor(monkeypatch, factor):
-    # An inf in any factor spreads into E at the first update, so the check
-    # may name E rather than the factor that held it.
+    # An inf in any factor reaches E[0, 0] at the first update, as inf/inf or
+    # inf·0, so the check names E's first cell rather than the factor that held it.
+    message = "item factor at iteration 0: row 0, column 0 holds nan; factors must be finite"
     with np.errstate(invalid="ignore"), pytest.raises(
-        NumericalError, match=r"non-finite (item|model|concept) factor at iteration 0"
+        NumericalError, match=f"^{re.escape(message)}$"
     ):
         _fit_from_a_start_with(monkeypatch, factor, np.inf)
 
@@ -414,14 +415,34 @@ def test_fit_stops_on_a_non_finite_factor(monkeypatch, factor):
 @pytest.mark.parametrize("factor, name", [(0, "item"), (1, "model"), (2, "concept")])
 def test_fit_stops_on_a_negative_factor_and_names_it(monkeypatch, factor, name):
     # A negative entry stays negative under a multiplicative step, and only
-    # in the factor that held it.
-    with pytest.raises(NumericalError, match=f"negative {name} factor at iteration 0"):
+    # in the factor that held it: -1e-3 times the step's positive ratio.  The
+    # ratio's last digits are left to the BLAS; the value is checked by number.
+    with pytest.raises(NumericalError) as caught:
         _fit_from_a_start_with(monkeypatch, factor, -1e-3)
+    where, value, rule = re.fullmatch(r"(.*) holds (\S+); (.*)", str(caught.value)).groups()
+    assert (where, rule) == (f"{name} factor at iteration 0: row 0, column 0", "factors must be >= 0")
+    assert repr(float(value)) == value and -1e-2 < float(value) < 0
 
 
 def test_fit_rejects_all_zero_weights():
     with pytest.raises(ValidationError, match="nothing observed"):
         fit(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 1)), McfConfig(n_skills=1))
+
+
+@pytest.mark.parametrize("items, models, skills, matrix", [
+    (10_001, 1, 10_000, "10,001 x 10,000"),  # item_skill
+    (1, 10_000, 10_000, "10,000 x 10,001"),  # [skill_model | skill_concept]
+    (1, 1, 10_001, "10,001 x 10,001"),  # the skills x skills Gram matrix
+])
+def test_fit_refuses_a_matrix_past_the_cap_before_allocating_it(items, models, skills, matrix):
+    # Each case passes the cap in one matrix only; 1e8 float64 entries are 800 MB.
+    with pytest.raises(ValidationError) as caught:
+        fit(np.ones((items, models)), np.ones((items, models)), np.ones((items, 1)),
+            McfConfig(n_skills=skills))
+    assert str(caught.value) == (
+        f"n_skills {skills:,} makes a {matrix} matrix, more than the 100,000,000 "
+        "elements one matrix may hold"
+    )
 
 
 def test_fit_rejects_out_of_range_inputs():
@@ -556,9 +577,13 @@ def test_config_dict_round_trip():
 
 
 def test_factor_set_validation():
-    with pytest.raises(ValidationError, match="negative"):
+    with pytest.raises(ValidationError, match=re.escape(
+        "item_skill: row 0, column 0 holds -0.1; factors must be >= 0"
+    )):
         FactorSet(np.array([[-0.1]]), np.ones((1, 1)), np.ones((1, 1)))
-    with pytest.raises(NumericalError, match="NaN"):
+    with pytest.raises(NumericalError, match=re.escape(
+        "item_skill: row 0, column 0 holds nan; factors must be finite"
+    )):
         FactorSet(np.array([[np.nan]]), np.ones((1, 1)), np.ones((1, 1)))
     with pytest.raises(Exception, match="skill axes"):
         FactorSet(np.ones((2, 2)), np.ones((3, 1)), np.ones((2, 1)))
